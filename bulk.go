@@ -1,15 +1,15 @@
-// Bulk-load support: the store-level half of the internal/ingest
-// pipeline. PrepareXML does everything that is safe off the engine —
-// parse, DTD validation, and (for pure nested schemas) the full shred
-// into a root-row value tree — so a pool of workers can run it
-// concurrently; LoadPrepared applies a prepared document under the
-// single-writer discipline, inside whatever transaction the commit
-// stage has open, so a batch of documents becomes one engine commit,
-// one WAL commit unit, and one published MVCC version.
+// The store-level load path, in its two halves. PrepareXML does
+// everything that needs no engine — parse, DTD validation, the loader's
+// Prepare (for pure nested schemas the full shred into a root-row value
+// tree) — so a pool of workers can run it concurrently; LoadPrepared
+// applies a prepared document under the single-writer discipline, inside
+// whatever transaction is open, so a batch of documents becomes one
+// engine commit, one WAL commit unit, and one published MVCC version.
+// Load and LoadXML are the two halves back to back; WAL replay, replica
+// apply and internal/ingest all come through here.
 package xmlordb
 
 import (
-	"errors"
 	"sync/atomic"
 	"time"
 
@@ -19,8 +19,8 @@ import (
 	"xmlordb/internal/xmlparser"
 )
 
-// PreparedDoc is one parsed, validated and (when the schema allows)
-// pre-shredded document awaiting LoadPrepared.
+// PreparedDoc is one parsed, validated and prepared document awaiting
+// LoadPrepared.
 type PreparedDoc struct {
 	// Name is the document name registered in the meta-database.
 	Name string
@@ -29,66 +29,59 @@ type PreparedDoc struct {
 	XML string
 	// Doc is the parsed DOM.
 	Doc *xmldom.Document
-	// prep is the engine-free shred; nil means the schema needs REF rows
-	// and LoadPrepared falls back to the one-transaction Load path.
+	// prep is the loader's half: the engine-free shred, or for schemas
+	// that store rows by REF a deferred one (see loader.Prepare).
 	prep *loader.Prepared
 }
 
-// Shredded reports whether the document was pre-shredded off the engine
-// (pure nested schemas) or will take the Load fallback (REF schemas).
-func (p *PreparedDoc) Shredded() bool { return p.prep != nil }
-
-// PrepareXML parses and validates a document and, for pure nested
-// schemas, shreds it into row values — all without touching the engine,
-// so any number of goroutines may call it concurrently while a single
-// writer applies the results with LoadPrepared. Schemas that store rows
-// by REF (recursion, ID targets, StrategyRef) cannot shred off-engine;
-// their PreparedDoc carries just the validated DOM and LoadPrepared
-// runs the ordinary Load for it.
+// PrepareXML parses, validates and prepares a document without touching
+// the engine, so any number of goroutines may call it concurrently while
+// a single writer applies the results with LoadPrepared. Pure nested
+// schemas are shredded into row values here; schemas that store rows by
+// REF (recursion, ID targets, StrategyRef) shred inside LoadPrepared's
+// transaction, because the shred is itself a sequence of inserts.
 func (s *Store) PrepareXML(xmlText, docName string) (*PreparedDoc, error) {
 	res, err := xmlparser.ParseWith(xmlText, xmlparser.Options{KeepEntityRefs: true})
 	if err != nil {
 		return nil, err
 	}
-	if err := dtd.Validate(s.DTD, res.Doc); err != nil {
-		return nil, err
-	}
-	pd := &PreparedDoc{Name: docName, XML: xmlText, Doc: res.Doc}
-	prep, err := s.Loader.Prepare(res.Doc)
-	switch {
-	case err == nil:
-		pd.prep = prep
-	case errors.Is(err, loader.ErrNotPreparable):
-		// Apply-time fallback to Load; same rows, same errors.
-	default:
-		return nil, err
-	}
-	return pd, nil
+	return s.prepare(res.Doc, docName, xmlText)
 }
 
-// LoadPrepared applies one prepared document and returns its DocID. It
-// requires the caller to hold the store's writer exclusion, like Load.
+// prepare validates a parsed document against the store's DTD and runs
+// the loader's Prepare on it.
+func (s *Store) prepare(doc *xmldom.Document, docName, xmlText string) (*PreparedDoc, error) {
+	if err := dtd.Validate(s.DTD, doc); err != nil {
+		return nil, err
+	}
+	prep, err := s.Loader.Prepare(doc)
+	if err != nil {
+		return nil, err
+	}
+	return &PreparedDoc{Name: docName, XML: xmlText, Doc: doc, prep: prep}, nil
+}
+
+// LoadPrepared applies one prepared document and returns its DocID: the
+// single place a document enters the store. The DocID is one more than
+// the highest stored one (see loader's allocator), so it depends on
+// apply order alone. The caller must hold the store's writer exclusion.
 // Inside an open engine transaction the document joins it through a
 // savepoint, so a failed document rolls back alone while the rest of
-// the batch stands — the ingest commit stage's per-document isolation.
-// The WAL record is buffered with the enclosing transaction and reaches
-// the log as part of its single commit unit.
+// the batch stands — the ingest commit stage's per-document isolation —
+// and the WAL record is buffered with the enclosing transaction,
+// reaching the log as part of its single commit unit.
 func (s *Store) LoadPrepared(p *PreparedDoc) (int, error) {
-	var id int
-	var err error
-	if p.prep != nil {
-		id, err = s.Loader.LoadPrepared(p.Doc, p.Name, p.prep)
-	} else {
-		id, err = s.Loader.Load(p.Doc, p.Name)
-	}
+	id, err := s.Loader.LoadPrepared(p.Doc, p.Name, p.prep)
 	if err != nil {
 		return 0, err
 	}
 	if err := s.walLogLoad(p.Doc, p.Name, p.XML, id); err != nil {
 		return id, err
 	}
-	// No-op inside an open transaction; the ingest commit stage flushes
-	// once per committed batch instead.
+	// A btree store spills the just-loaded rows to disk immediately so
+	// the resident set stays bounded by one document. No-op inside an
+	// open transaction; the ingest commit stage flushes once per
+	// committed batch instead.
 	if _, err := s.FlushToBackend(); err != nil {
 		return id, err
 	}

@@ -17,19 +17,20 @@
 //	-dtd file.dtd           DTD to install as the initial store
 //	-root name              root element for -dtd (default: unique candidate)
 //	-name default           name of the initial store
-//	-snapshot-dir dir       enable snapshot persistence (restore on boot)
-//	-snapshot-interval 30s  period of the background snapshot loop
-//	-durability snapshot    "snapshot" (legacy .xos files) or a WAL sync
-//	                        policy — "always", "interval", "never" — hosting
-//	                        each store in <snapshot-dir>/<name>/ with
-//	                        crash recovery on boot
+//	-snapshot-dir dir       data directory: each store lives in a durable
+//	                        directory <dir>/<name>/ (checkpoint snapshot +
+//	                        write-ahead log), recovered on boot; without
+//	                        it stores are in-memory only
+//	-snapshot-interval 30s  period of the background checkpoint loop
+//	-durability always      WAL sync policy for -snapshot-dir: "always"
+//	                        (the default), "interval" or "never"
 //	-wal-sync-interval 50ms background WAL flush period under "interval"
 //	-wal-segment-bytes 0    WAL segment size cap before rotation (0 = 4MiB)
 //	-idle-timeout 5m        close sessions idle this long
 //	-request-timeout 0      per-request execution limit (0 = none)
 //	-max-request 16777216   request frame size limit in bytes
 //	-replica-of addr        start as a read replica of the primary at addr
-//	                        (requires -durability and -snapshot-dir); writes
+//	                        (requires -snapshot-dir); writes
 //	                        are rejected until PROMOTE or election
 //	-chain-of addr          start as a chained replica pulling from another
 //	                        replica instead of the primary (never elected)
@@ -62,8 +63,6 @@
 //	                        shard <index> (0-based) of <count>
 //	-ingest-workers 0       default BULKLOAD pipeline workers
 //	                        (0 = GOMAXPROCS)
-//	-ingest-batch-docs 0    default BULKLOAD documents per commit batch
-//	-ingest-batch-bytes 0   default BULKLOAD bytes per commit batch
 //
 // Router flags (xmlordbd router -addr :7799 host1:7788 host2:7788 ...):
 //
@@ -72,8 +71,8 @@
 //	-max-request 16777216   request frame size limit in bytes
 //
 // The server drains gracefully on SIGINT/SIGTERM: new connections are
-// refused, in-flight requests complete, dirty stores are snapshotted
-// (checkpointed, for durable stores) and WALs are closed.
+// refused, in-flight requests complete, dirty stores are checkpointed
+// and WALs are closed.
 //
 // Client verbs:
 //
@@ -147,9 +146,9 @@ func runServe(args []string, out io.Writer) error {
 		dtdFile      = fs.String("dtd", "", "DTD file for the initial store")
 		root         = fs.String("root", "", "root element for -dtd")
 		name         = fs.String("name", "default", "name of the initial store")
-		snapDir      = fs.String("snapshot-dir", "", "snapshot directory (enables persistence)")
-		snapInterval = fs.Duration("snapshot-interval", 30*time.Second, "snapshot period")
-		durability   = fs.String("durability", "snapshot", `"snapshot", "always", "interval" or "never"`)
+		snapDir      = fs.String("snapshot-dir", "", "data directory: one durable directory (checkpoint + WAL) per store")
+		snapInterval = fs.Duration("snapshot-interval", 30*time.Second, "checkpoint period")
+		durability   = fs.String("durability", "", `WAL sync policy for -snapshot-dir: "always" (default), "interval" or "never"`)
 		walSyncInt   = fs.Duration("wal-sync-interval", 0, `WAL flush period under -durability interval`)
 		walSegBytes  = fs.Int64("wal-segment-bytes", 0, "WAL segment size cap before rotation (0 = default 4MiB)")
 		idleTimeout  = fs.Duration("idle-timeout", 5*time.Minute, "session idle timeout")
@@ -172,20 +171,12 @@ func runServe(args []string, out io.Writer) error {
 		shardIndex   = fs.Int("shard-index", 0, "this server's 0-based slot in a sharded topology (with -shard-count)")
 		shardCount   = fs.Int("shard-count", 0, "shard topology size this server belongs to (0 = unsharded)")
 		ingWorkers   = fs.Int("ingest-workers", 0, "default BULKLOAD pipeline workers (0 = GOMAXPROCS)")
-		ingBatchDocs = fs.Int("ingest-batch-docs", 0, "default BULKLOAD documents per commit batch (0 = built-in default)")
-		ingBatchByte = fs.Int64("ingest-batch-bytes", 0, "default BULKLOAD XML bytes per commit batch (0 = built-in default)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	if *ingWorkers < 0 {
 		return fmt.Errorf("-ingest-workers must be >= 0 (0 = GOMAXPROCS), got %d", *ingWorkers)
-	}
-	if *ingBatchDocs < 0 {
-		return fmt.Errorf("-ingest-batch-docs must be >= 0 (0 = default), got %d", *ingBatchDocs)
-	}
-	if *ingBatchByte < 0 {
-		return fmt.Errorf("-ingest-batch-bytes must be >= 0 (0 = default), got %d", *ingBatchByte)
 	}
 	cfg := server.Config{
 		MaxRequestBytes:   *maxRequest,
@@ -213,8 +204,6 @@ func runServe(args []string, out io.Writer) error {
 		ShardIndex:        *shardIndex,
 		ShardCount:        *shardCount,
 		IngestWorkers:     *ingWorkers,
-		IngestBatchDocs:   *ingBatchDocs,
-		IngestBatchBytes:  *ingBatchByte,
 		Logf: func(format string, a ...any) {
 			fmt.Fprintf(os.Stderr, "xmlordbd: "+format+"\n", a...)
 		},

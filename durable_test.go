@@ -400,3 +400,58 @@ func TestLoadStoreRejectsUnknownVersion(t *testing.T) {
 		t.Fatalf("future snapshot version accepted: %v", err)
 	}
 }
+
+// TestDocIDsRecoverAfterDeletingNewest is the regression for the DocID
+// allocator consulting state no snapshot carries: load ×3, delete the
+// newest, checkpoint, load once more. The metadata-less allocator used
+// to remember the deleted ID in memory and log DocID 4, which replay —
+// starting from a snapshot holding documents 1 and 2 — could only
+// re-derive as 3, so the directory never opened again. With one
+// state-derived allocator both metadata modes hand out the same IDs and
+// recover them.
+func TestDocIDsRecoverAfterDeletingNewest(t *testing.T) {
+	var assigned [2][]int
+	for i, noMeta := range []bool{false, true} {
+		dir := t.TempDir()
+		s, err := OpenDir(dir, workload.UniversityDTD, "University", Config{DisableMetadata: noMeta}, DurableOptions{})
+		if err != nil {
+			t.Fatalf("DisableMetadata=%v: OpenDir: %v", noMeta, err)
+		}
+		load := func(name string) int {
+			t.Helper()
+			id, err := s.LoadXML(uniDoc, name)
+			if err != nil {
+				t.Fatalf("DisableMetadata=%v: load %s: %v", noMeta, name, err)
+			}
+			assigned[i] = append(assigned[i], id)
+			return id
+		}
+		load("u1")
+		load("u2")
+		newest := load("u3")
+		if err := s.DeleteDocument(newest); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		last := load("u4")
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		s2, err := LoadStoreDir(dir, DurableOptions{})
+		if err != nil {
+			t.Fatalf("DisableMetadata=%v: reopening: %v", noMeta, err)
+		}
+		if n := countDocs(t, s2, "TabUniversity"); n != 3 {
+			t.Errorf("DisableMetadata=%v: recovered %d documents, want 3", noMeta, n)
+		}
+		if _, err := s2.RetrieveXML(last); err != nil {
+			t.Errorf("DisableMetadata=%v: retrieve %d after recovery: %v", noMeta, last, err)
+		}
+		s2.Close()
+	}
+	if fmt.Sprint(assigned[0]) != fmt.Sprint(assigned[1]) {
+		t.Errorf("DocIDs differ by metadata mode: with %v, without %v", assigned[0], assigned[1])
+	}
+}

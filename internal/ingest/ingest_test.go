@@ -38,105 +38,6 @@ func openUniversity(t *testing.T, cfg xmlordb.Config) *xmlordb.Store {
 	return st
 }
 
-// The pipeline must be indistinguishable from a sequential Load loop:
-// same DocIDs in corpus order, byte-identical retrievals.
-func TestRunMatchesSequentialLoad(t *testing.T) {
-	docs := universityCorpus(t, 12)
-
-	seq := openUniversity(t, xmlordb.Config{})
-	for _, d := range docs {
-		if _, err := seq.LoadXML(d.XML, d.Name); err != nil {
-			t.Fatalf("sequential load %s: %v", d.Name, err)
-		}
-	}
-
-	par := openUniversity(t, xmlordb.Config{})
-	res, err := Run(par, Docs(docs), Options{Workers: 4, BatchDocs: 5})
-	if err != nil {
-		t.Fatalf("run: %v", err)
-	}
-	if res.Loaded != len(docs) || res.Failed != 0 {
-		t.Fatalf("loaded %d failed %d, want %d/0", res.Loaded, res.Failed, len(docs))
-	}
-	if res.Batches != 3 { // ceil(12/5)
-		t.Errorf("batches = %d, want 3", res.Batches)
-	}
-	for i, dr := range res.Docs {
-		if dr.Err != nil {
-			t.Fatalf("doc %d: %v", i, dr.Err)
-		}
-		if dr.DocID != i+1 {
-			t.Errorf("doc %d assigned DocID %d, want %d (commit order must match corpus order)", i, dr.DocID, i+1)
-		}
-	}
-	for i := 1; i <= len(docs); i++ {
-		want, err := seq.RetrieveXML(i)
-		if err != nil {
-			t.Fatalf("sequential retrieve %d: %v", i, err)
-		}
-		got, err := par.RetrieveXML(i)
-		if err != nil {
-			t.Fatalf("pipeline retrieve %d: %v", i, err)
-		}
-		if got != want {
-			t.Errorf("doc %d: pipeline retrieval differs from sequential", i)
-		}
-	}
-	if res.Rows == 0 || res.Bytes == 0 {
-		t.Errorf("counters empty: rows=%d bytes=%d", res.Rows, res.Bytes)
-	}
-	is := par.IngestStats()
-	if is.Runs != 1 || is.Docs != int64(len(docs)) || is.Batches != 3 {
-		t.Errorf("store ingest stats = %+v", is)
-	}
-}
-
-// Every document must be pre-shredded off-engine for this schema.
-func TestPrepareXMLShredsNestedSchema(t *testing.T) {
-	st := openUniversity(t, xmlordb.Config{})
-	d := universityCorpus(t, 1)[0]
-	pd, err := st.PrepareXML(d.XML, d.Name)
-	if err != nil {
-		t.Fatalf("prepare: %v", err)
-	}
-	if !pd.Shredded() {
-		t.Fatalf("university schema should take the shredded fast path")
-	}
-	id, err := st.LoadPrepared(pd)
-	if err != nil || id != 1 {
-		t.Fatalf("load prepared: id=%d err=%v", id, err)
-	}
-	if _, err := st.RetrieveXML(1); err != nil {
-		t.Fatalf("retrieve: %v", err)
-	}
-}
-
-// REF-strategy schemas cannot shred off-engine; the pipeline must fall
-// back to the Load path and still work.
-func TestRunRefStrategyFallback(t *testing.T) {
-	docs := universityCorpus(t, 4)
-	st := openUniversity(t, xmlordb.Config{Strategy: xmlordb.StrategyRef})
-	pd, err := st.PrepareXML(docs[0].XML, docs[0].Name)
-	if err != nil {
-		t.Fatalf("prepare: %v", err)
-	}
-	if pd.Shredded() {
-		t.Fatalf("REF strategy must not claim the shredded fast path")
-	}
-	res, err := Run(st, Docs(docs), Options{Workers: 2, BatchDocs: 2})
-	if err != nil {
-		t.Fatalf("run: %v", err)
-	}
-	if res.Loaded != len(docs) {
-		t.Fatalf("loaded %d, want %d", res.Loaded, len(docs))
-	}
-	for i := 1; i <= len(docs); i++ {
-		if _, err := st.RetrieveXML(i); err != nil {
-			t.Fatalf("retrieve %d: %v", i, err)
-		}
-	}
-}
-
 // KeepGoing: bad documents report typed failures, good ones commit, and
 // DocIDs stay gapless.
 func TestKeepGoingIsolatesBadDocuments(t *testing.T) {

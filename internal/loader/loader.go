@@ -36,18 +36,18 @@ type Loader struct {
 	sch *mapping.Schema
 	en  *sql.Engine
 	// Meta, when non-nil, registers each loaded document in TabMetadata
-	// and uses the assigned DocID.
+	// under the DocID the loader allocates.
 	Meta *meta.Store
-	// lastDocID is the highest DocID this loader ever assigned without a
-	// meta store. It only grows, so DocIDs stay unique even after
-	// DeleteDocument removes rows from the root table.
-	lastDocID int
+	// refRows reports that the schema stores rows in object tables
+	// (recursion, ID targets, StrategyRef): shredding then interleaves
+	// with inserts and cannot run off the engine (see Prepare).
+	refRows bool
 }
 
 // New returns a loader for the schema over the engine. The schema's DDL
 // script must already have been executed against the engine's database.
 func New(sch *mapping.Schema, en *sql.Engine) *Loader {
-	return &Loader{sch: sch, en: en}
+	return &Loader{sch: sch, en: en, refRows: len(sch.ObjectTables()) > 0}
 }
 
 // pendingRef is an IDREF whose target row does not exist yet; path is the
@@ -110,50 +110,48 @@ func (st *load) strVal(s string) ordb.Value {
 	return v
 }
 
-// Load stores the document and returns its DocID. The whole load — meta
-// registration, REF-row inserts, the root insert, IDREF fixups — runs in
-// one engine transaction, so a failure at any step restores the exact
-// prior state: no orphan rows, no dangling TabMetadata registration, no
-// consumed OIDs.
+func (l *Loader) newLoad() *load {
+	return &load{Loader: l, ids: map[string]ordb.Ref{}, strs: map[string]ordb.Value{}}
+}
+
+// Load stores the document and returns its DocID: Prepare followed by
+// LoadPrepared, the one load path.
 func (l *Loader) Load(doc *xmldom.Document, docName string) (int, error) {
-	root := doc.Root()
-	if root == nil {
-		return 0, fmt.Errorf("loader: document has no root element")
+	p, err := l.Prepare(doc)
+	if err != nil {
+		return 0, err
 	}
-	if root.Name != l.sch.RootElem {
-		return 0, fmt.Errorf("loader: document root %q does not match schema root %q",
-			root.Name, l.sch.RootElem)
-	}
+	return l.LoadPrepared(doc, docName, p)
+}
+
+// LoadPrepared stores a prepared document and returns its DocID. The
+// whole load — DocID allocation, meta registration, REF-row inserts, the
+// root insert, IDREF fixups — runs in one engine transaction, so a
+// failure at any step restores the exact prior state: no orphan rows, no
+// dangling TabMetadata registration, no consumed OIDs. Inside an
+// enclosing transaction RunInTx joins it through a savepoint, so the
+// document still rolls back alone. doc must be the document p was
+// prepared from; the call must run under the store's single-writer
+// discipline.
+func (l *Loader) LoadPrepared(doc *xmldom.Document, docName string, p *Prepared) (int, error) {
 	rootTab, err := l.en.DB().Table(l.sch.RootTable)
 	if err != nil {
 		return 0, err
 	}
-	st := &load{Loader: l, ids: map[string]ordb.Ref{}, strs: map[string]ordb.Value{}}
+	st := l.newLoad()
 	err = l.en.DB().RunInTx(func() error {
-		if l.Meta != nil {
-			id, err := l.Meta.Register(doc, l.sch, docName, "")
-			if err != nil {
-				return err
-			}
-			st.docID = id
-		} else {
-			st.docID = l.nextDocID(rootTab)
+		var err error
+		if st.docID, err = l.allocDocID(rootTab); err != nil {
+			return err
 		}
-		rm := l.sch.Elems[root.Name]
-		var rowVals []ordb.Value
-		switch {
-		case rm.StoredByRef:
-			ref, err := st.insertByRef(root, nil)
-			if err != nil {
+		if l.Meta != nil {
+			if err := l.Meta.Register(st.docID, doc, l.sch, docName, ""); err != nil {
 				return err
 			}
-			rowVals = []ordb.Value{ordb.Num(st.docID), ref}
-		default:
-			fields, err := st.buildVals(root, rm, nil, 1)
-			if err != nil {
-				return err
-			}
-			rowVals = append([]ordb.Value{ordb.Num(st.docID)}, fields...)
+		}
+		rowVals, err := st.rootRow(doc.Root(), p)
+		if err != nil {
+			return err
 		}
 		if _, err := rootTab.Insert(rowVals); err != nil {
 			return err
@@ -168,29 +166,66 @@ func (l *Loader) Load(doc *xmldom.Document, docName string) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	// Only a committed load advances the monotonic counter: a rolled-back
-	// attempt reuses its DocID, keeping the store bit-identical to one
-	// that never attempted the operation.
-	if st.docID > l.lastDocID {
-		l.lastDocID = st.docID
-	}
 	return st.docID, nil
 }
 
-// nextDocID allocates a DocID when no meta store assigns one: one more
-// than the highest of (a) any DocID still present in the root table and
-// (b) any DocID this loader ever committed. The previous RowCount()+1
-// scheme reused IDs after a DeleteDocument, silently merging a new
-// document into a deleted one's identity.
-func (l *Loader) nextDocID(rootTab *ordb.Table) int {
-	max := l.lastDocID
-	rootTab.Scan(func(r *ordb.Row) bool {
+// allocDocID returns the next DocID: one more than the highest DocID
+// stored — in TabMetadata when the meta-database is on (its DocID column
+// is the primary key all schemas sharing the engine draw from), in the
+// root table otherwise. The result depends on stored state alone, never
+// on loader memory: WAL replay and replicas rebuild a store from a
+// snapshot plus the log and must re-derive exactly the DocIDs the log
+// recorded, and no snapshot carries a counter. The ID of the newest
+// document is therefore handed out again once that document is deleted;
+// a live document's ID never is.
+func (l *Loader) allocDocID(rootTab *ordb.Table) (int, error) {
+	tab := rootTab
+	if l.Meta != nil {
+		var err error
+		if tab, err = l.en.DB().Table("TabMetadata"); err != nil {
+			return 0, err
+		}
+	}
+	max := 0
+	tab.Scan(func(r *ordb.Row) bool {
 		if n, ok := r.Vals[0].(ordb.Num); ok && int(n) > max {
 			max = int(n)
 		}
 		return true
 	})
-	return max + 1
+	return max + 1, nil
+}
+
+// rootRow returns the document's root-table row under st.docID: the
+// prepared fields with the DocID patched into every recorded slot, or —
+// for a deferred Prepared — the shred itself, inserting the object-table
+// rows the root row REFs as it goes.
+func (st *load) rootRow(root *xmldom.Element, p *Prepared) ([]ordb.Value, error) {
+	row := make([]ordb.Value, 1, len(p.fields)+1)
+	row[0] = ordb.Num(st.docID)
+	if !p.deferred {
+		row = append(row, p.fields...)
+		for _, path := range p.docIDPaths {
+			var err error
+			if row, err = patched(row, path, row[0]); err != nil {
+				return nil, err
+			}
+		}
+		return row, nil
+	}
+	rm := st.sch.Elems[root.Name]
+	if rm.StoredByRef {
+		ref, err := st.insertByRef(root, nil)
+		if err != nil {
+			return nil, err
+		}
+		return append(row, ref), nil
+	}
+	fields, err := st.buildVals(root, rm, nil, 1)
+	if err != nil {
+		return nil, err
+	}
+	return append(row, fields...), nil
 }
 
 // InsertSQL renders the single nested INSERT statement that loads the
@@ -209,7 +244,8 @@ func (l *Loader) InsertSQL(doc *xmldom.Document, docID int) (string, error) {
 	if rm.StoredByRef || len(l.sch.ObjectTables()) > 0 {
 		return "", ErrRefStrategySQL
 	}
-	st := &load{Loader: l, docID: docID, ids: map[string]ordb.Ref{}, strs: map[string]ordb.Value{}}
+	st := l.newLoad()
+	st.docID = docID
 	vals, err := st.buildVals(root, rm, nil, 1)
 	if err != nil {
 		return "", err

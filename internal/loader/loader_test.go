@@ -483,3 +483,42 @@ func TestLoadMixedContentField(t *testing.T) {
 		t.Errorf("mixed text = %q", rows.Data[0][0])
 	}
 }
+
+// Prepare decides where the shred runs: a pure nested schema is shredded
+// off the engine (bulk ingest's parallelism depends on it), a schema that
+// stores rows by REF is deferred into LoadPrepared's transaction.
+func TestPrepareShredsOffEngineUnlessRefRows(t *testing.T) {
+	cases := []struct {
+		name     string
+		src      string
+		opts     mapping.Options
+		mode     ordb.Mode
+		deferred bool
+	}{
+		{"nested", appendixA, mapping.Options{}, ordb.ModeOracle9, false},
+		{"strategy-ref", appendixA, mapping.Options{Strategy: mapping.StrategyRef}, ordb.ModeOracle8, true},
+		{"recursive", recursiveDoc, mapping.Options{}, ordb.ModeOracle9, true},
+		{"id-targets", idrefDoc, mapping.Options{}, ordb.ModeOracle9, true},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			doc, _, en, l := setup(t, tc.src, tc.opts, tc.mode)
+			prep, err := l.Prepare(doc)
+			if err != nil {
+				t.Fatalf("Prepare: %v", err)
+			}
+			if prep.deferred != tc.deferred {
+				t.Fatalf("deferred = %v, want %v", prep.deferred, tc.deferred)
+			}
+			if tc.deferred == (len(prep.fields) > 0) {
+				t.Errorf("deferred = %v with %d shredded fields", tc.deferred, len(prep.fields))
+			}
+			if got := en.DB().Stats().Inserts; got != 0 {
+				t.Errorf("Prepare touched the engine: %d inserts", got)
+			}
+			if id, err := l.LoadPrepared(doc, tc.name+".xml", prep); err != nil || id != 1 {
+				t.Fatalf("LoadPrepared: id=%d err=%v", id, err)
+			}
+		})
+	}
+}

@@ -1,50 +1,40 @@
-// Engine-free document preparation: the parallel half of the bulk
-// ingest pipeline (internal/ingest). Prepare shreds a document into the
-// root row's nested value tree without touching the engine, so many
-// documents can be shredded concurrently on worker goroutines;
-// LoadPrepared then inserts a prepared row under the engine's
-// single-writer discipline, patching in the DocID that only the commit
-// stage can assign (DocIDs come from a deterministic max-scan, so they
-// depend on commit order).
+// Document preparation: the half of a load that needs no engine, and
+// therefore no writer exclusion. Prepare checks the document against the
+// schema root and, when the schema allows, shreds it into the root row's
+// nested value tree, so many documents can be shredded concurrently on
+// worker goroutines (internal/ingest); LoadPrepared (loader.go) then
+// stores the prepared document under the engine's single-writer
+// discipline, patching in the DocID that only the commit order decides.
 //
-// Only the paper's pure nested mapping qualifies: a document whose
-// schema stores rows by REF (recursion, ID targets, StrategyRef)
-// interleaves inserts with shredding — the same boundary InsertSQL
-// draws — and such documents fall back to the one-transaction Load path.
+// Only the paper's pure nested mapping shreds off the engine: a schema
+// that stores rows by REF (recursion, ID targets, StrategyRef) needs each
+// object-table row's OID before it can build the REF value pointing at
+// it — the same boundary InsertSQL draws. For such a schema Prepare returns a
+// deferred Prepared and LoadPrepared shreds inside its transaction.
 package loader
 
 import (
-	"errors"
 	"fmt"
 
-	"xmlordb/internal/mapping"
 	"xmlordb/internal/ordb"
 	"xmlordb/internal/xmldom"
 )
 
-// ErrNotPreparable reports that a document cannot be shredded off the
-// engine: its schema needs REF-linked object-table rows, whose inserts
-// are part of shredding itself. Callers fall back to Load.
-var ErrNotPreparable = errors.New(
-	"loader: schema stores rows by REF; prepare-free shredding needs the pure nested strategy")
-
-// Prepared is the engine-free shredding of one document: the root row's
-// field values (DocID placeholders included) plus the index paths of
-// every FieldDocID slot awaiting the real DocID.
+// Prepared is one document ready for LoadPrepared: either the engine-free
+// shredding of its root row — the field values (DocID placeholders
+// included) plus the index paths of every FieldDocID slot awaiting the
+// real DocID — or, deferred, only the proof that the root matches.
 type Prepared struct {
 	fields     []ordb.Value
 	docIDPaths [][]int
+	deferred   bool
 }
 
-// Prepare shreds the document into a Prepared row without touching the
+// Prepare readies the document for LoadPrepared without touching the
 // engine. It is safe to call from many goroutines concurrently — it
 // reads only the immutable schema — which is exactly how the ingest
-// worker pool uses it. Returns ErrNotPreparable when the schema needs
-// REF rows; other errors mean the document itself is unloadable.
+// worker pool uses it. An error means the document itself is unloadable.
 func (l *Loader) Prepare(doc *xmldom.Document) (*Prepared, error) {
-	if l.sch.Opts.Strategy != mapping.StrategyNested {
-		return nil, ErrNotPreparable
-	}
 	root := doc.Root()
 	if root == nil {
 		return nil, fmt.Errorf("loader: document has no root element")
@@ -53,64 +43,20 @@ func (l *Loader) Prepare(doc *xmldom.Document) (*Prepared, error) {
 		return nil, fmt.Errorf("loader: document root %q does not match schema root %q",
 			root.Name, l.sch.RootElem)
 	}
-	rm := l.sch.Elems[root.Name]
-	if rm.StoredByRef || len(l.sch.ObjectTables()) > 0 {
-		return nil, ErrNotPreparable
+	if l.refRows {
+		return &Prepared{deferred: true}, nil
 	}
-	st := &load{Loader: l, ids: map[string]ordb.Ref{}, strs: map[string]ordb.Value{}, recordDocID: true}
-	fields, err := st.buildVals(root, rm, nil, 1)
+	st := l.newLoad()
+	st.recordDocID = true
+	fields, err := st.buildVals(root, l.sch.Elems[root.Name], nil, 1)
 	if err != nil {
 		return nil, err
 	}
 	if len(st.pending) > 0 {
 		// An IDREF can only resolve against object-table rows, of which
-		// this fast path has none; route through Load so the failure
-		// surfaces exactly as it would sequentially.
-		return nil, ErrNotPreparable
+		// this schema has none; defer so the dangling reference fails in
+		// LoadPrepared's fixup step like any other.
+		return &Prepared{deferred: true}, nil
 	}
 	return &Prepared{fields: fields, docIDPaths: st.docIDPaths}, nil
-}
-
-// LoadPrepared inserts a prepared row, assigning the DocID inside the
-// transaction and patching it into every recorded FieldDocID slot. It
-// mirrors Load's transactional shape — meta registration and the root
-// insert in one RunInTx, so inside an enclosing transaction the whole
-// document rolls back via its own savepoint — and must run under the
-// store's single-writer discipline.
-func (l *Loader) LoadPrepared(doc *xmldom.Document, docName string, p *Prepared) (int, error) {
-	rootTab, err := l.en.DB().Table(l.sch.RootTable)
-	if err != nil {
-		return 0, err
-	}
-	var docID int
-	err = l.en.DB().RunInTx(func() error {
-		if l.Meta != nil {
-			id, err := l.Meta.Register(doc, l.sch, docName, "")
-			if err != nil {
-				return err
-			}
-			docID = id
-		} else {
-			docID = l.nextDocID(rootTab)
-		}
-		rowVals := make([]ordb.Value, 0, len(p.fields)+1)
-		rowVals = append(rowVals, ordb.Num(docID))
-		rowVals = append(rowVals, p.fields...)
-		for _, path := range p.docIDPaths {
-			v, perr := patched(rowVals, path, ordb.Num(docID))
-			if perr != nil {
-				return perr
-			}
-			rowVals = v
-		}
-		_, ierr := rootTab.Insert(rowVals)
-		return ierr
-	})
-	if err != nil {
-		return 0, err
-	}
-	if docID > l.lastDocID {
-		l.lastDocID = docID
-	}
-	return docID, nil
 }

@@ -119,24 +119,15 @@ func (s *Store) Reader(en *sql.Engine) *Store {
 	return &Store{en: en, Now: s.Now}
 }
 
-// Register records a document and its mapping provenance, returning the
-// assigned DocID. The entity definitions are taken from the schema's DTD.
-func (s *Store) Register(doc *xmldom.Document, sch *mapping.Schema, docName, url string) (int, error) {
+// Register records a document under docID, with its mapping provenance.
+// The caller (the loader's DocID allocator) chooses the ID; DocID is the
+// table's primary key, so a collision fails the insert. The entity
+// definitions are taken from the schema's DTD.
+func (s *Store) Register(docID int, doc *xmldom.Document, sch *mapping.Schema, docName, url string) error {
 	tab, err := s.en.DB().Table("TabMetadata")
 	if err != nil {
-		return 0, err
+		return err
 	}
-	// One more than the highest registered DocID — RowCount()+1 would
-	// collide with surviving rows after a DeleteDocument removed an
-	// earlier registration (DocID is the table's primary key).
-	docID := 0
-	tab.Scan(func(r *ordb.Row) bool {
-		if n, ok := r.Vals[0].(ordb.Num); ok && int(n) > docID {
-			docID = int(n)
-		}
-		return true
-	})
-	docID++
 	var docData []ordb.Value
 	for _, name := range sch.Order {
 		m := sch.Elems[name]
@@ -183,9 +174,9 @@ func (s *Store) Register(doc *xmldom.Document, sch *mapping.Schema, docName, url
 		ordb.DateVal(s.Now()),
 	}
 	if _, err := tab.Insert(vals); err != nil {
-		return 0, fmt.Errorf("meta: registering document: %w", err)
+		return fmt.Errorf("meta: registering document: %w", err)
 	}
-	return docID, nil
+	return nil
 }
 
 func strOrNull(s string) ordb.Value {

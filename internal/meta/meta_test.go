@@ -46,12 +46,9 @@ func TestInstallIdempotent(t *testing.T) {
 func TestRegisterAndLookup(t *testing.T) {
 	store, en, sch := testStore(t)
 	doc := workload.University(workload.DefaultUniversity())
-	id, err := store.Register(doc, sch, "uni.xml", "file:///uni.xml")
-	if err != nil {
+	const id = 1
+	if err := store.Register(id, doc, sch, "uni.xml", "file:///uni.xml"); err != nil {
 		t.Fatalf("Register: %v", err)
-	}
-	if id != 1 {
-		t.Errorf("DocID = %d", id)
 	}
 	md, err := store.Document(id)
 	if err != nil {
@@ -83,7 +80,10 @@ func TestRegisterAndLookup(t *testing.T) {
 func TestDocDataProvenance(t *testing.T) {
 	store, _, sch := testStore(t)
 	doc := workload.University(workload.DefaultUniversity())
-	id, _ := store.Register(doc, sch, "uni.xml", "")
+	const id = 1
+	if err := store.Register(id, doc, sch, "uni.xml", ""); err != nil {
+		t.Fatal(err)
+	}
 	md, _ := store.Document(id)
 	// Every element-derived and attribute-derived column appears.
 	kinds := map[string]int{}
@@ -108,10 +108,14 @@ func TestDocDataProvenance(t *testing.T) {
 func TestDocumentsListingAndSequence(t *testing.T) {
 	store, _, sch := testStore(t)
 	doc := workload.University(workload.DefaultUniversity())
-	for i := 0; i < 3; i++ {
-		if _, err := store.Register(doc, sch, "d", ""); err != nil {
+	for id := 1; id <= 3; id++ {
+		if err := store.Register(id, doc, sch, "d", ""); err != nil {
 			t.Fatal(err)
 		}
+	}
+	// DocID is the primary key: a second registration under a live ID fails.
+	if err := store.Register(2, doc, sch, "dup", ""); err == nil {
+		t.Error("duplicate DocID registered")
 	}
 	docs, err := store.Documents()
 	if err != nil {
@@ -141,8 +145,8 @@ func TestStandaloneRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	id, err := store.Register(res.Doc, sch, "s", "")
-	if err != nil {
+	const id = 1
+	if err := store.Register(id, res.Doc, sch, "s", ""); err != nil {
 		t.Fatal(err)
 	}
 	md, _ := store.Document(id)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -94,9 +95,10 @@ func TestDurableServerOpenStoreAndSaveCheckpoints(t *testing.T) {
 	}
 }
 
-func TestDurableServerMigratesLegacySnapshot(t *testing.T) {
+// A whole-file snapshot from a pre-WAL deployment is refused by name at
+// boot: hosting nothing for it would silently drop the store.
+func TestServerRefusesLegacySnapshotFile(t *testing.T) {
 	dir := t.TempDir()
-	// A legacy whole-file snapshot from a pre-WAL deployment.
 	st, err := xmlordb.Open(uniDTD, "University", xmlordb.Config{})
 	if err != nil {
 		t.Fatal(err)
@@ -104,10 +106,8 @@ func TestDurableServerMigratesLegacySnapshot(t *testing.T) {
 	if _, err := st.LoadXML(uniDoc("Conrad", 1), "old.xml"); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	f, err := os.Create(filepath.Join(dir, "uni.xos"))
+	legacy := filepath.Join(dir, "uni.xos")
+	f, err := os.Create(legacy)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,25 +116,67 @@ func TestDurableServerMigratesLegacySnapshot(t *testing.T) {
 	}
 	f.Close()
 
-	srv := New(durableCfg(dir))
-	if n, err := srv.RestoreDir(); err != nil || n != 1 {
-		t.Fatalf("RestoreDir = %d, %v", n, err)
+	for _, cfg := range []Config{durableCfg(dir), {SnapshotDir: dir}} {
+		n, err := New(cfg).RestoreDir()
+		if err == nil || !strings.Contains(err.Error(), legacy) {
+			t.Errorf("RestoreDir(%+v) = %d, %v; want an error naming %s", cfg, n, err, legacy)
+		}
 	}
-	if _, err := os.Stat(filepath.Join(dir, "uni", "CHECKPOINT")); err != nil {
-		t.Fatalf("migration did not create a durable directory: %v", err)
+	if _, err := os.Stat(legacy); err != nil {
+		t.Errorf("refusal must leave the file alone: %v", err)
 	}
-	if _, err := os.Stat(filepath.Join(dir, "uni.xos.bak")); err != nil {
-		t.Fatalf("legacy snapshot not renamed aside: %v", err)
+}
+
+// Durability names only the WAL sync policy of a data directory.
+func TestDurabilityConfigValidation(t *testing.T) {
+	cases := []struct {
+		cfg  Config
+		want string // substring of the error; "" = accepted
+	}{
+		{Config{}, ""},
+		{Config{SnapshotDir: t.TempDir()}, ""}, // default policy: always
+		{Config{SnapshotDir: t.TempDir(), Durability: "interval"}, ""},
+		{Config{SnapshotDir: t.TempDir(), Durability: "snapshot"}, `durability "snapshot"`},
+		{Config{Durability: "never"}, "needs a snapshot directory"},
+		{Config{SnapshotDir: t.TempDir(), Durability: "sometimes"}, "unknown sync policy"},
 	}
-	_, addr := serveOn(t, srv)
-	c := mustDial(t, addr)
-	ctx := context.Background()
-	if _, err := c.Load(ctx, "new.xml", uniDoc("Kudrass", 2)); err != nil {
+	for _, c := range cases {
+		srv := New(c.cfg)
+		_, rerr := srv.RestoreDir()
+		oerr := srv.OpenStore("uni", uniDTD, "University", xmlordb.Config{})
+		for verb, err := range map[string]error{"RestoreDir": rerr, "OpenStore": oerr} {
+			switch {
+			case c.want == "" && err != nil:
+				t.Errorf("%s with %+v: %v", verb, c.cfg, err)
+			case c.want != "" && (err == nil || !strings.Contains(err.Error(), c.want)):
+				t.Errorf("%s with %+v = %v, want error containing %q", verb, c.cfg, err, c.want)
+			}
+		}
+		if c.want != "" && len(srv.StoreNames()) != 0 {
+			t.Errorf("rejected config %+v still hosts %v", c.cfg, srv.StoreNames())
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), time.Second)
+		srv.Shutdown(ctx)
+		cancel()
+	}
+}
+
+// A server with a data directory checkpoints on SAVE, which an in-memory
+// store cannot do: AddStore must refuse it rather than fail every SAVE.
+func TestAddStoreRejectsInMemoryStoreOnDurableServer(t *testing.T) {
+	st, err := xmlordb.Open(uniDTD, "University", xmlordb.Config{})
+	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := c.Query(ctx, countStudentsSQL)
-	if err != nil || len(res.Rows) != 2 {
-		t.Fatalf("after migration rows = %v, %v", res, err)
+	srv := New(Config{SnapshotDir: t.TempDir()})
+	if err := srv.AddStore("uni", st); err == nil || !strings.Contains(err.Error(), "in-memory") {
+		t.Fatalf("AddStore(in-memory) on a durable server = %v, want refusal", err)
+	}
+	if len(srv.StoreNames()) != 0 {
+		t.Errorf("refused store is hosted: %v", srv.StoreNames())
+	}
+	if err := New(Config{}).AddStore("uni", st); err != nil {
+		t.Errorf("AddStore on an in-memory server: %v", err)
 	}
 }
 

@@ -249,8 +249,8 @@ func (s *Server) retargetTo(addr string) {
 // survives, anything never replicated is on the old timeline only and
 // is surrendered (semi-sync acks exist to make that set empty).
 func (s *Server) demoteTo(addr string) {
-	if !s.cfg.durable() || s.cfg.SnapshotDir == "" {
-		s.cfg.logf("failover: cannot demote without -durability and a data directory")
+	if s.cfg.SnapshotDir == "" {
+		s.cfg.logf("failover: cannot demote without a data directory")
 		return
 	}
 	s.roleMu.Lock()

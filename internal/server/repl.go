@@ -123,7 +123,7 @@ func (ss *session) replicate(req *wire.Request) *wire.Response {
 	store := hs.current()
 	log := store.WAL()
 	if log == nil {
-		return fail(wire.CodeRepl, "store %q is not durable; replication needs -durability", hs.name)
+		return fail(wire.CodeRepl, "store %q is not durable; replication needs a data directory (-snapshot-dir)", hs.name)
 	}
 	// An election-eligible replica announces its advertised address in
 	// the handshake; the serving node adds it to the member list it ships
@@ -329,8 +329,8 @@ func (s *Server) StartReplication() error {
 	if s.cfg.ReplicaOf != "" && s.cfg.ChainOf != "" {
 		return fmt.Errorf("server: -replica-of and -chain-of are mutually exclusive")
 	}
-	if !s.cfg.durable() || s.cfg.SnapshotDir == "" {
-		return fmt.Errorf("server: replica mode needs -durability and a data directory")
+	if s.cfg.SnapshotDir == "" {
+		return fmt.Errorf("server: replica mode needs a data directory")
 	}
 	if _, err := s.cfg.durableOptions(); err != nil {
 		return err

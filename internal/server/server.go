@@ -2,8 +2,8 @@
 // service: a TCP server hosting one or more named Stores behind the
 // newline-delimited JSON protocol of internal/wire, with per-connection
 // sessions, single-writer serialization with lock-free MVCC reads,
-// request size and time limits, periodic snapshot persistence and
-// graceful drain on shutdown.
+// request size and time limits, write-ahead-logged store directories
+// with periodic checkpoints, and graceful drain on shutdown.
 //
 // Concurrency model. Writes are serialized, reads are lock-free. The
 // library's compound write operations — a document load's many inserts,
@@ -55,18 +55,18 @@ type Config struct {
 	// IdleTimeout closes sessions that send no request for this long
 	// (default 5 minutes; negative = no limit).
 	IdleTimeout time.Duration
-	// SnapshotDir, when set, enables snapshot persistence: each store is
-	// saved to <dir>/<name>.xos — periodically when SnapshotInterval > 0,
-	// on SAVE requests, and during Shutdown.
+	// SnapshotDir, when set, is the data directory: each store lives in a
+	// durable directory <SnapshotDir>/<name>/ — a checkpoint snapshot plus
+	// a write-ahead log of every commit since — so commits survive a
+	// crash and RestoreDir replays the log tail on startup. Checkpoints
+	// are taken periodically when SnapshotInterval > 0, on SAVE requests,
+	// and during Shutdown. Empty means stores live in memory only.
 	SnapshotDir string
-	// SnapshotInterval is the period of the background snapshot loop.
+	// SnapshotInterval is the period of the background checkpoint loop.
 	SnapshotInterval time.Duration
-	// Durability switches named stores to write-ahead logging. Empty or
-	// "snapshot" keeps the legacy whole-file .xos persistence; "always",
-	// "interval" or "never" hosts each store in a durable directory
-	// <SnapshotDir>/<name>/ whose WAL uses that sync policy — commits
-	// survive a crash between snapshots, recovery replays the log tail on
-	// startup, and the periodic snapshot loop becomes a checkpoint.
+	// Durability is the WAL sync policy of the stores under SnapshotDir:
+	// "" or "always" (fsync every commit), "interval" or "never". Naming
+	// a policy without a SnapshotDir is rejected.
 	Durability string
 	// WALSyncInterval is the background WAL flush period when Durability
 	// is "interval" (default 50ms).
@@ -83,7 +83,7 @@ type Config struct {
 	// primary at this address: every primary store is streamed and
 	// applied locally, writes are rejected with CodeReadOnly, and
 	// PROMOTE detaches the server into a standalone primary. Requires a
-	// durable config (Durability + SnapshotDir).
+	// SnapshotDir.
 	ReplicaOf string
 	// ChainOf, when set, starts the server as a chained replica pulling
 	// from another replica at this address instead of the primary. A
@@ -140,8 +140,8 @@ type Config struct {
 	// server: "" or "mem" keeps rows resident in the MVCC engine,
 	// "btree" spills loaded documents to an on-disk B-tree so the
 	// resident set stays small (see xmlordb.Config.Backend). The btree
-	// backend is incompatible with snapshot persistence and WAL
-	// durability — OPEN is rejected when both are configured.
+	// backend is incompatible with WAL durability — OPEN is rejected
+	// when a SnapshotDir is configured too.
 	Backend string
 	// ShardCount / ShardIndex give the server a shard identity: this is
 	// shard ShardIndex (0-based) of a ShardCount-wide topology behind a
@@ -157,11 +157,6 @@ type Config struct {
 	// IngestWorkers is the default parse/shred concurrency for BULKLOAD
 	// requests that do not choose their own (0 = GOMAXPROCS).
 	IngestWorkers int
-	// IngestBatchDocs / IngestBatchBytes are the default commit-batch
-	// budgets for BULKLOAD requests that do not choose their own
-	// (0 = the ingest package defaults).
-	IngestBatchDocs  int
-	IngestBatchBytes int64
 	// Logf receives server log lines (default: discarded).
 	Logf func(format string, args ...any)
 }
@@ -192,18 +187,25 @@ func (c Config) logf(format string, args ...any) {
 	}
 }
 
-// durable reports whether stores use write-ahead logging.
-func (c Config) durable() bool {
-	return c.Durability != "" && !strings.EqualFold(c.Durability, "snapshot")
-}
-
-// durableOptions translates the config into store WAL options.
+// durableOptions validates Durability and translates the config into
+// store WAL options; the empty policy is the WAL's own default, always.
 func (c Config) durableOptions() (xmlordb.DurableOptions, error) {
+	opts := xmlordb.DurableOptions{SyncInterval: c.WALSyncInterval, SegmentBytes: c.WALSegmentBytes}
+	if c.Durability == "" {
+		return opts, nil
+	}
+	if strings.EqualFold(c.Durability, "snapshot") {
+		return opts, fmt.Errorf(`server: durability "snapshot" was removed: stores are always write-ahead logged (use always|interval|never, or leave it empty for always)`)
+	}
 	pol, err := wal.ParsePolicy(c.Durability)
 	if err != nil {
-		return xmlordb.DurableOptions{}, fmt.Errorf("server: %w", err)
+		return opts, fmt.Errorf("server: %w", err)
 	}
-	return xmlordb.DurableOptions{Sync: pol, SyncInterval: c.WALSyncInterval, SegmentBytes: c.WALSegmentBytes}, nil
+	if c.SnapshotDir == "" {
+		return opts, fmt.Errorf("server: durability %q needs a snapshot directory", c.Durability)
+	}
+	opts.Sync = pol
+	return opts, nil
 }
 
 // upstreamAddr is the configured replication upstream: the primary
@@ -363,13 +365,18 @@ func New(cfg Config) *Server {
 	}
 }
 
-// storeNameRe keeps store names usable as snapshot file names.
+// storeNameRe keeps store names usable as directory names.
 var storeNameRe = regexp.MustCompile(`^[A-Za-z0-9_][A-Za-z0-9_.-]{0,63}$`)
 
-// AddStore hosts an already-open store under name.
+// AddStore hosts an already-open store under name. A server with a
+// SnapshotDir hosts durable stores only: SAVE is a checkpoint, which an
+// in-memory store cannot take.
 func (s *Server) AddStore(name string, st *xmlordb.Store) error {
 	if !storeNameRe.MatchString(name) {
 		return fmt.Errorf("server: invalid store name %q", name)
+	}
+	if s.cfg.SnapshotDir != "" && st.Dir() == "" {
+		return fmt.Errorf("server: store %q is in-memory; a server with a snapshot directory hosts durable stores only (OpenStore creates one)", name)
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -430,42 +437,37 @@ func (s *Server) installStore(name string, st *xmlordb.Store) *hostedStore {
 }
 
 // OpenStore installs a new store from DTD text and hosts it under name
-// (the OPEN verb). Under a durable config the store lives in
+// (the OPEN verb). With a SnapshotDir the store lives in
 // <SnapshotDir>/<name>/ with a write-ahead log; the name is reserved
 // up front so the directory of a hosted store is never reopened.
 func (s *Server) OpenStore(name, dtdText, root string, cfg xmlordb.Config) error {
 	if err := s.reserveStore(name); err != nil {
 		return err
 	}
-	if cfg.Backend == "" {
-		cfg.Backend = s.cfg.Backend
-	}
-	if cfg.Backend == xmlordb.BackendBTree && (s.cfg.durable() || s.cfg.SnapshotDir != "") {
-		s.releaseStore(name)
-		return fmt.Errorf("server: the btree backend cannot be combined with persistence (snapshot dir or durability)")
-	}
-	var st *xmlordb.Store
-	var err error
-	if s.cfg.durable() {
-		if s.cfg.SnapshotDir == "" {
-			s.releaseStore(name)
-			return fmt.Errorf("server: durability %q needs a snapshot directory", s.cfg.Durability)
-		}
-		opts, oerr := s.cfg.durableOptions()
-		if oerr != nil {
-			s.releaseStore(name)
-			return oerr
-		}
-		st, err = xmlordb.OpenDir(filepath.Join(s.cfg.SnapshotDir, name), dtdText, root, cfg, opts)
-	} else {
-		st, err = xmlordb.Open(dtdText, root, cfg)
-	}
+	st, err := s.openStore(name, dtdText, root, cfg)
 	if err != nil {
 		s.releaseStore(name)
 		return err
 	}
-	s.installStore(name, st).markDirty() // a fresh schema is state worth snapshotting
+	s.installStore(name, st).markDirty() // a fresh schema is state worth checkpointing
 	return nil
+}
+
+func (s *Server) openStore(name, dtdText, root string, cfg xmlordb.Config) (*xmlordb.Store, error) {
+	opts, err := s.cfg.durableOptions()
+	if err != nil {
+		return nil, err
+	}
+	if cfg.Backend == "" {
+		cfg.Backend = s.cfg.Backend
+	}
+	if s.cfg.SnapshotDir == "" {
+		return xmlordb.Open(dtdText, root, cfg)
+	}
+	if cfg.Backend == xmlordb.BackendBTree {
+		return nil, fmt.Errorf("server: the btree backend cannot be combined with persistence (a snapshot directory)")
+	}
+	return xmlordb.OpenDir(filepath.Join(s.cfg.SnapshotDir, name), dtdText, root, cfg, opts)
 }
 
 // lookupStore returns the hosted store named name (case-insensitive).
@@ -496,14 +498,18 @@ func (s *Server) StoreNames() []string {
 	return out
 }
 
-// RestoreDir hosts every store persisted under cfg.SnapshotDir: durable
-// store directories (recognized by their CHECKPOINT file) are recovered
-// by snapshot restore plus WAL replay, and legacy *.xos snapshot files
-// are loaded as before — or, under a durable config, migrated in place
-// to a durable directory (the old file is kept as <name>.xos.bak).
-// Missing directory is not an error (first boot). Returns the number of
-// stores restored.
+// RestoreDir hosts every store persisted under cfg.SnapshotDir: each
+// durable store directory (recognized by its CHECKPOINT file) is
+// recovered by snapshot restore plus WAL replay. A <name>.xos file — the
+// whole-file snapshot format of servers before write-ahead logging — is
+// a startup error naming the file rather than a store silently left
+// behind. A missing directory is not an error (first boot). Returns the
+// number of stores restored.
 func (s *Server) RestoreDir() (int, error) {
+	opts, err := s.cfg.durableOptions()
+	if err != nil {
+		return 0, err
+	}
 	if s.cfg.SnapshotDir == "" {
 		return 0, nil
 	}
@@ -514,113 +520,55 @@ func (s *Server) RestoreDir() (int, error) {
 		}
 		return 0, err
 	}
-	var opts xmlordb.DurableOptions
-	if s.cfg.durable() {
-		if opts, err = s.cfg.durableOptions(); err != nil {
-			return 0, err
-		}
-	}
 	n := 0
 	for _, e := range entries {
-		switch {
-		case e.IsDir():
-			dir := filepath.Join(s.cfg.SnapshotDir, e.Name())
-			if _, err := os.Stat(filepath.Join(dir, "CHECKPOINT")); err != nil {
-				continue // not a durable store directory
+		path := filepath.Join(s.cfg.SnapshotDir, e.Name())
+		if !e.IsDir() {
+			if strings.HasSuffix(e.Name(), ".xos") {
+				return n, fmt.Errorf("server: %s is a legacy whole-file snapshot and this server hosts only durable store directories; migrate it with the previous release (-durability always) or move it out of the data directory", path)
 			}
-			st, err := xmlordb.LoadStoreDir(dir, opts)
-			if err != nil {
-				return n, fmt.Errorf("server: recovering %s: %w", e.Name(), err)
-			}
-			if rs, ok := st.WALStats(); ok && rs.Replayed > 0 {
-				s.cfg.logf("store %s: replayed %d wal records (checkpoint lsn %d)",
-					e.Name(), rs.Replayed, rs.CheckpointLSN)
-			}
-			if err := s.AddStore(e.Name(), st); err != nil {
-				st.Close()
-				return n, err
-			}
-			n++
-		case strings.HasSuffix(e.Name(), ".xos"):
-			name := strings.TrimSuffix(e.Name(), ".xos")
-			if s.lookupStore(name) != nil {
-				continue // already hosted from a durable directory
-			}
-			path := filepath.Join(s.cfg.SnapshotDir, e.Name())
-			f, err := os.Open(path)
-			if err != nil {
-				return n, err
-			}
-			st, err := xmlordb.LoadStore(f)
-			f.Close()
-			if err != nil {
-				return n, fmt.Errorf("server: restoring %s: %w", e.Name(), err)
-			}
-			if s.cfg.durable() {
-				if err := st.AttachDir(filepath.Join(s.cfg.SnapshotDir, name), opts); err != nil {
-					return n, fmt.Errorf("server: migrating %s to a durable directory: %w", e.Name(), err)
-				}
-				if err := os.Rename(path, path+".bak"); err != nil {
-					s.cfg.logf("store %s: migrated but could not rename legacy snapshot: %v", name, err)
-				} else {
-					s.cfg.logf("store %s: migrated legacy snapshot to durable directory", name)
-				}
-			}
-			if err := s.AddStore(name, st); err != nil {
-				st.Close()
-				return n, err
-			}
-			n++
+			continue
 		}
+		if _, err := os.Stat(filepath.Join(path, "CHECKPOINT")); err != nil {
+			continue // not a durable store directory
+		}
+		st, err := xmlordb.LoadStoreDir(path, opts)
+		if err != nil {
+			return n, fmt.Errorf("server: recovering %s: %w", e.Name(), err)
+		}
+		if rs, ok := st.WALStats(); ok && rs.Replayed > 0 {
+			s.cfg.logf("store %s: replayed %d wal records (checkpoint lsn %d)",
+				e.Name(), rs.Replayed, rs.CheckpointLSN)
+		}
+		if err := s.AddStore(e.Name(), st); err != nil {
+			st.Close()
+			return n, err
+		}
+		n++
 	}
 	return n, nil
 }
 
-// saveStore snapshots one store under its write lock — the same
-// discipline as writers, so the snapshot can never capture a half-done
-// load or an uncommitted transaction. Durable stores checkpoint (fresh
-// snapshot, CHECKPOINT pointer update, WAL truncation); legacy stores
-// write <name>.xos to a temp name and rename, so a crash mid-save never
-// corrupts the previous snapshot.
+// saveStore checkpoints one store (fresh snapshot, CHECKPOINT pointer
+// update, WAL truncation) under its write lock — the same discipline as
+// writers, so the snapshot can never capture a half-done load or an
+// uncommitted transaction.
 func (s *Server) saveStore(hs *hostedStore, locked bool) error {
 	if s.cfg.SnapshotDir == "" {
 		return fmt.Errorf("server: no snapshot directory configured")
-	}
-	if err := os.MkdirAll(s.cfg.SnapshotDir, 0o755); err != nil {
-		return err
 	}
 	if !locked {
 		hs.mu.Lock()
 		defer hs.mu.Unlock()
 	}
-	if hs.store.Dir() != "" {
-		if err := hs.store.Checkpoint(); err != nil {
-			return err
-		}
-		s.metrics.snapshots.Add(1)
-		return nil
-	}
-	final := filepath.Join(s.cfg.SnapshotDir, hs.name+".xos")
-	tmp, err := os.CreateTemp(s.cfg.SnapshotDir, hs.name+".*.tmp")
-	if err != nil {
-		return err
-	}
-	defer os.Remove(tmp.Name())
-	if err := hs.store.Save(tmp); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp.Name(), final); err != nil {
+	if err := hs.store.Checkpoint(); err != nil {
 		return err
 	}
 	s.metrics.snapshots.Add(1)
 	return nil
 }
 
-// SaveAll snapshots every dirty store. Clean stores are skipped.
+// SaveAll checkpoints every dirty store. Clean stores are skipped.
 func (s *Server) SaveAll() error {
 	s.mu.Lock()
 	hosted := make([]*hostedStore, 0, len(s.storeOrder))

@@ -52,28 +52,25 @@ const countStudentsSQL = `SELECT st.attrLName FROM TabUniversity u, TABLE(u.attr
 // testBackend is the CI backend override: XMLORDB_TEST_BACKEND=btree
 // reruns the server integration suite with every store spilling to the
 // on-disk B-tree. Persistent configs keep the mem backend — the btree
-// is mutually exclusive with snapshots and WAL durability.
+// is mutually exclusive with WAL durability.
 func testBackend(cfg Config) string {
-	if cfg.SnapshotDir != "" || cfg.durable() {
+	if cfg.SnapshotDir != "" {
 		return ""
 	}
 	return os.Getenv("XMLORDB_TEST_BACKEND")
 }
 
-// startServer boots a server hosting one "uni" store on a loopback
-// listener and returns it with its address. Shutdown runs in cleanup
-// (tolerating tests that already shut down).
+// startServer boots a server hosting one "uni" store — in memory, or a
+// durable directory when cfg has a SnapshotDir — on a loopback listener
+// and returns it with its address. Shutdown runs in cleanup (tolerating
+// tests that already shut down).
 func startServer(t *testing.T, cfg Config) (*Server, string) {
 	t.Helper()
 	if cfg.Backend == "" {
 		cfg.Backend = testBackend(cfg)
 	}
 	srv := New(cfg)
-	st, err := xmlordb.Open(uniDTD, "University", xmlordb.Config{Backend: cfg.Backend})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := srv.AddStore("uni", st); err != nil {
+	if err := srv.OpenStore("uni", uniDTD, "University", xmlordb.Config{}); err != nil {
 		t.Fatal(err)
 	}
 	return serveOn(t, srv)
@@ -569,10 +566,11 @@ func TestServerMidRequestDisconnect(t *testing.T) {
 	}
 }
 
-// TestServerSnapshotRestart loads documents, snapshots them, abandons
-// the server without a clean shutdown (crash), and verifies a fresh
-// server restores the snapshot and serves queries, retrievals and new
-// loads with non-colliding DocIDs.
+// TestServerSnapshotRestart loads documents, checkpoints them, loads one
+// more, abandons the server without a clean shutdown (crash), and
+// verifies a fresh server recovers all three — the checkpoint plus the
+// logged tail — and serves queries, retrievals and new loads with
+// non-colliding DocIDs.
 func TestServerSnapshotRestart(t *testing.T) {
 	dir := t.TempDir()
 	ctx := context.Background()
@@ -589,13 +587,13 @@ func TestServerSnapshotRestart(t *testing.T) {
 	if err := c1.Save(ctx); err != nil {
 		t.Fatalf("SAVE: %v", err)
 	}
-	if _, err := os.Stat(filepath.Join(dir, "uni.xos")); err != nil {
-		t.Fatalf("snapshot file: %v", err)
+	if _, err := os.Stat(filepath.Join(dir, "uni", "CHECKPOINT")); err != nil {
+		t.Fatalf("durable store directory: %v", err)
 	}
-	// Crash: load one more document that is NOT snapshotted, then kill
-	// the server without Shutdown (cleanup will shut it down later; the
-	// restore below reads the file written by SAVE).
-	if _, err := c1.Load(ctx, "lost.xml", uniDoc("Lost", 3)); err != nil {
+	// Crash: load one more document after the checkpoint, then abandon the
+	// server without Shutdown (cleanup will shut it down later). The load
+	// was acknowledged, so the log holds it and recovery must replay it.
+	if _, err := c1.Load(ctx, "tail.xml", uniDoc("Tail", 3)); err != nil {
 		t.Fatal(err)
 	}
 	_ = srv1
@@ -618,7 +616,7 @@ func TestServerSnapshotRestart(t *testing.T) {
 	for _, row := range res.Rows {
 		names[fmt.Sprint(row[0])] = true
 	}
-	if !names["Persist1"] || !names["Persist2"] || names["Lost"] {
+	if !names["Persist1"] || !names["Persist2"] || !names["Tail"] {
 		t.Fatalf("restored students = %v", names)
 	}
 	xmlText, err := c2.Retrieve(ctx, id1)
@@ -635,8 +633,8 @@ func TestServerSnapshotRestart(t *testing.T) {
 	}
 }
 
-// TestServerPeriodicSnapshot checks the background loop persists dirty
-// stores and a clean shutdown snapshots remaining writes.
+// TestServerPeriodicSnapshot checks the background loop checkpoints dirty
+// stores and a clean shutdown checkpoints remaining writes.
 func TestServerPeriodicSnapshot(t *testing.T) {
 	dir := t.TempDir()
 	ctx := context.Background()
@@ -645,18 +643,12 @@ func TestServerPeriodicSnapshot(t *testing.T) {
 	if _, err := c.Load(ctx, "p.xml", uniDoc("Periodic", 1)); err != nil {
 		t.Fatal(err)
 	}
-	file := filepath.Join(dir, "uni.xos")
+	// OpenStore already wrote the directory's first checkpoint; the loop's
+	// own shows up in the counter.
 	waitFor(t, 3*time.Second, func() bool {
-		_, err := os.Stat(file)
-		return err == nil
+		st, err := c.Stats(ctx)
+		return err == nil && st.Snapshots >= 1
 	})
-	st, err := c.Stats(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Snapshots < 1 {
-		t.Fatalf("Snapshots = %d", st.Snapshots)
-	}
 	// Clean shutdown persists the tail write.
 	if _, err := c.Load(ctx, "q.xml", uniDoc("Tail", 2)); err != nil {
 		t.Fatal(err)
@@ -666,14 +658,13 @@ func TestServerPeriodicSnapshot(t *testing.T) {
 	if err := srv.Shutdown(sctx); err != nil {
 		t.Fatalf("Shutdown: %v", err)
 	}
-	f, err := os.Open(file)
+	restored, err := xmlordb.LoadStoreDir(filepath.Join(dir, "uni"), xmlordb.DurableOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer f.Close()
-	restored, err := xmlordb.LoadStore(f)
-	if err != nil {
-		t.Fatal(err)
+	defer restored.Close()
+	if ws, _ := restored.WALStats(); ws.Replayed != 0 {
+		t.Errorf("clean shutdown left %d records to replay, want a covering checkpoint", ws.Replayed)
 	}
 	rows, err := restored.Query(countStudentsSQL)
 	if err != nil || len(rows.Data) != 2 {

@@ -532,12 +532,6 @@ func (ss *session) bulkLoad(hs *hostedStore, req *wire.Request) *wire.Response {
 	if opts.Workers == 0 {
 		opts.Workers = ss.srv.cfg.IngestWorkers
 	}
-	if opts.BatchDocs == 0 {
-		opts.BatchDocs = ss.srv.cfg.IngestBatchDocs
-	}
-	if opts.BatchBytes == 0 {
-		opts.BatchBytes = ss.srv.cfg.IngestBatchBytes
-	}
 	if err := opts.Normalize(); err != nil {
 		return fail(wire.CodeBadRequest, "%v", err)
 	}

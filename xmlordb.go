@@ -323,39 +323,26 @@ func (s *Store) Script() string { return s.Schema.Script() }
 func (s *Store) Warnings() []string { return s.Schema.Warnings }
 
 // Load validates the document against the store's DTD and loads it,
-// returning its DocID. On a durable store the document is serialized
-// back to XML for the redo record — prefer LoadXML when the original
-// text is at hand, so the log keeps it byte-for-byte.
+// returning its DocID: prepare followed by LoadPrepared (bulk.go). On a
+// durable store the document is serialized back to XML for the redo
+// record — prefer LoadXML when the original text is at hand, so the log
+// keeps it byte-for-byte.
 func (s *Store) Load(doc *xmldom.Document, docName string) (int, error) {
-	return s.load(doc, docName, "")
+	p, err := s.prepare(doc, docName, "")
+	if err != nil {
+		return 0, err
+	}
+	return s.LoadPrepared(p)
 }
 
-// LoadXML parses, validates and loads an XML document given as text.
+// LoadXML parses, validates and loads an XML document given as text:
+// PrepareXML followed by LoadPrepared.
 func (s *Store) LoadXML(xmlText, docName string) (int, error) {
-	res, err := xmlparser.ParseWith(xmlText, xmlparser.Options{KeepEntityRefs: true})
+	p, err := s.PrepareXML(xmlText, docName)
 	if err != nil {
 		return 0, err
 	}
-	return s.load(res.Doc, docName, xmlText)
-}
-
-func (s *Store) load(doc *xmldom.Document, docName, xmlText string) (int, error) {
-	if err := dtd.Validate(s.DTD, doc); err != nil {
-		return 0, err
-	}
-	id, err := s.Loader.Load(doc, docName)
-	if err != nil {
-		return 0, err
-	}
-	if err := s.walLogLoad(doc, docName, xmlText, id); err != nil {
-		return id, err
-	}
-	// A btree store spills the just-loaded rows to disk immediately so
-	// the resident set stays bounded by one document.
-	if _, err := s.FlushToBackend(); err != nil {
-		return id, err
-	}
-	return id, nil
+	return s.LoadPrepared(p)
 }
 
 // InsertSQL renders the single nested INSERT statement for a document
