@@ -65,18 +65,26 @@ func (s *Store) prepare(doc *xmldom.Document, docName, xmlText string) (*Prepare
 // single place a document enters the store. The DocID is one more than
 // the highest stored one (see loader's allocator), so it depends on
 // apply order alone. The caller must hold the store's writer exclusion.
-// Inside an open engine transaction the document joins it through a
-// savepoint, so a failed document rolls back alone while the rest of
+// The apply and its redo record share one engine transaction, so the
+// record reaches the log (TxCommitted) before the one publish that makes
+// the document visible: no reader ever retrieves a document the log does
+// not hold, and the version that first carries it is stamped with its
+// LSN. Inside an open engine transaction the document joins it through
+// a savepoint, so a failed document rolls back alone while the rest of
 // the batch stands — the ingest commit stage's per-document isolation —
 // and the WAL record is buffered with the enclosing transaction,
 // reaching the log as part of its single commit unit.
 func (s *Store) LoadPrepared(p *PreparedDoc) (int, error) {
-	id, err := s.Loader.LoadPrepared(p.Doc, p.Name, p.prep)
+	var id int
+	err := s.Engine.DB().RunInTx(func() error {
+		var err error
+		if id, err = s.Loader.LoadPrepared(p.Doc, p.Name, p.prep); err != nil {
+			return err
+		}
+		return s.walLogLoad(p.Doc, p.Name, p.XML, id)
+	})
 	if err != nil {
 		return 0, err
-	}
-	if err := s.walLogLoad(p.Doc, p.Name, p.XML, id); err != nil {
-		return id, err
 	}
 	// A btree store spills the just-loaded rows to disk immediately so
 	// the resident set stays bounded by one document. No-op inside an

@@ -30,12 +30,16 @@ func sortedRefs(refs map[ordb.Ref]bool) []ordb.Ref {
 // strategy, including child-table rows holding parent back-REFs), and the
 // TabMetadata registration. The per-table deletes run in one engine
 // transaction: a failure at any step restores every already-deleted row,
-// so the document is never left half-removed.
+// so the document is never left half-removed. The redo record joins the
+// same transaction and is flushed by its commit, before the version
+// without the document is published (see LoadPrepared).
 func (s *Store) DeleteDocument(docID int) error {
-	if err := s.Engine.DB().RunInTx(func() error { return s.deleteDocument(docID) }); err != nil {
-		return err
-	}
-	return s.walLogDelete(docID)
+	return s.Engine.DB().RunInTx(func() error {
+		if err := s.deleteDocument(docID); err != nil {
+			return err
+		}
+		return s.walLogDelete(docID)
+	})
 }
 
 func (s *Store) deleteDocument(docID int) error {

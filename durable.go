@@ -16,8 +16,8 @@
 // Redo records are logical: the XML text of a loaded document, the ID of
 // a deleted one, the text of a DML/DDL statement. Replay re-executes
 // them through the same code paths as the original operations, which are
-// deterministic (document IDs come from a table scan, OIDs from a
-// counter restored by the snapshot), so recovery converges on the
+// deterministic (a document ID is the highest stored one plus one, OIDs
+// come from a counter restored by the snapshot), so recovery converges on the
 // pre-crash state. Records belonging to an explicit transaction are
 // buffered in memory and appended as one commit unit only when the
 // engine transaction commits — a rolled-back transaction never reaches
@@ -134,9 +134,11 @@ type walState struct {
 
 var _ ordb.TxObserver = (*walState)(nil)
 
-// record logs one committed store operation: buffered when an engine
-// transaction is open (flushed by TxCommitted), appended and synced as
-// its own commit unit otherwise. Store writers are serialized by
+// record logs one store operation: buffered when an engine transaction
+// is open (flushed by TxCommitted, before the commit publishes) — always
+// the case for document loads and deletes, which log from inside their
+// own transaction — appended and synced as its own commit unit otherwise
+// (an autocommitted SQL statement). Store writers are serialized by
 // contract, so the open-transaction check cannot race a commit.
 func (w *walState) record(kind byte, payload any) error {
 	if w.applying {
@@ -541,9 +543,9 @@ func (s *Store) applyWALRecord(rec wal.Record) error {
 	return nil
 }
 
-// walLogLoad, walLogDelete and walLogSQL are the commit-path hooks
-// called by Load/DeleteDocument/Exec after the operation succeeded.
-// Each is a no-op on in-memory stores.
+// walLogLoad and walLogDelete are called by LoadPrepared/DeleteDocument
+// as the last step inside the operation's transaction, walLogSQL by Exec
+// after the statement succeeded. Each is a no-op on in-memory stores.
 
 func (s *Store) walLogLoad(doc *xmldom.Document, docName, xmlText string, docID int) error {
 	w := s.wal.Load()
@@ -554,7 +556,7 @@ func (s *Store) walLogLoad(doc *xmldom.Document, docName, xmlText string, docID 
 		xmlText = xmldom.Serialize(doc)
 	}
 	if err := w.record(RecLoad, walLoadPayload{DocID: docID, DocName: docName, XML: xmlText}); err != nil {
-		return fmt.Errorf("xmlordb: document %d loaded but not logged: %w", docID, err)
+		return fmt.Errorf("xmlordb: logging load of document %d: %w", docID, err)
 	}
 	return nil
 }
@@ -565,7 +567,7 @@ func (s *Store) walLogDelete(docID int) error {
 		return nil
 	}
 	if err := w.record(RecDelete, walDeletePayload{DocID: docID}); err != nil {
-		return fmt.Errorf("xmlordb: document %d deleted but not logged: %w", docID, err)
+		return fmt.Errorf("xmlordb: logging delete of document %d: %w", docID, err)
 	}
 	return nil
 }

@@ -5,11 +5,13 @@ import (
 	"encoding/gob"
 	"errors"
 	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"xmlordb/internal/ordb"
 	"xmlordb/internal/wal"
 	"xmlordb/internal/workload"
 )
@@ -453,5 +455,322 @@ func TestDocIDsRecoverAfterDeletingNewest(t *testing.T) {
 	}
 	if fmt.Sprint(assigned[0]) != fmt.Sprint(assigned[1]) {
 		t.Errorf("DocIDs differ by metadata mode: with %v, without %v", assigned[0], assigned[1])
+	}
+}
+
+// TestAllocatorMatchesFullScan: the O(1) answer the DocID allocator reads
+// (ordb.Table.MaxInt on the key table) equals a full scan after every
+// step of a seeded random mix of everything that can move the highest
+// DocID — loads, deleting the newest and the oldest document, a load
+// that fails after its rows went in, a savepoint rollback inside a batch,
+// SQL INSERT/UPDATE/DELETE on the key column, checkpoint + reopen and WAL
+// replay — in both metadata modes and on both backends (the btree
+// backend has no log, so the reopen steps apply to mem only). Every
+// successful load must also get exactly scan-maximum + 1.
+func TestAllocatorMatchesFullScan(t *testing.T) {
+	for _, noMeta := range []bool{false, true} {
+		for _, backend := range []string{BackendMem, BackendBTree} {
+			for seed := int64(1); seed <= 3; seed++ {
+				name := fmt.Sprintf("noMeta=%v/%s/seed%d", noMeta, backend, seed)
+				t.Run(name, func(t *testing.T) { runAllocatorOracle(t, noMeta, backend, seed) })
+			}
+		}
+	}
+}
+
+func runAllocatorOracle(t *testing.T, noMeta bool, backend string, seed int64) {
+	rng := rand.New(rand.NewSource(seed))
+	cfg := Config{DisableMetadata: noMeta, Backend: backend}
+	dir := t.TempDir()
+	durable := backend == BackendMem
+	var s *Store
+	var err error
+	if durable {
+		s, err = OpenDir(dir, workload.UniversityDTD, "University", cfg, DurableOptions{})
+	} else {
+		cfg.BackendPath = filepath.Join(dir, "store.xbt")
+		s, err = Open(workload.UniversityDTD, "University", cfg)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { s.Close() }()
+
+	keyTable, keyInsert := "TabMetadata", "INSERT INTO TabMetadata VALUES(%d, 'sql', NULL, NULL, NULL, NULL, NULL, NULL, NULL, NULL, NULL)"
+	if noMeta {
+		keyTable, keyInsert = "TabUniversity", "INSERT INTO TabUniversity VALUES(%d, 'sql', NULL)"
+	}
+	scanMax := func() int {
+		tab, err := s.DB().Table(keyTable)
+		if err != nil {
+			t.Fatal(err)
+		}
+		max := 0
+		tab.Scan(func(r *ordb.Row) bool {
+			if n, ok := r.Vals[0].(ordb.Num); ok && int(n) > max {
+				max = int(n)
+			}
+			return true
+		})
+		return max
+	}
+	step := 0
+	check := func(what string) {
+		t.Helper()
+		tab, err := s.DB().Table(keyTable)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := tab.MaxInt(0), scanMax(); got != want {
+			t.Fatalf("step %d (%s): MaxInt = %d, full scan = %d", step, what, got, want)
+		}
+	}
+	var live []int // loaded documents, oldest first
+	load := func(what string) {
+		t.Helper()
+		want := scanMax() + 1
+		id, err := s.LoadXML(uniDoc, fmt.Sprintf("doc-%d", step))
+		if err != nil {
+			t.Fatalf("step %d (%s): %v", step, what, err)
+		}
+		if id != want {
+			t.Fatalf("step %d (%s): DocID %d, highest stored + 1 = %d", step, what, id, want)
+		}
+		live = append(live, id)
+	}
+	exec := func(format string, args ...any) {
+		t.Helper()
+		stmt := fmt.Sprintf(format, args...)
+		if _, err := s.Exec(stmt); err != nil {
+			t.Fatalf("step %d: %s: %v", step, stmt, err)
+		}
+		check(stmt)
+	}
+	reopen := func(what string) {
+		t.Helper()
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if s, err = LoadStoreDir(dir, DurableOptions{}); err != nil {
+			t.Fatalf("step %d (%s): %v", step, what, err)
+		}
+	}
+
+	for ; step < 120; step++ {
+		switch op := rng.Intn(12); op {
+		case 0, 1, 2, 3:
+			load("load")
+			check("load")
+		case 4, 5: // delete the newest / the oldest document
+			if len(live) == 0 {
+				break
+			}
+			i := 0
+			if op == 4 {
+				i = len(live) - 1
+			}
+			if err := s.DeleteDocument(live[i]); err != nil {
+				t.Fatalf("step %d: delete %d: %v", step, live[i], err)
+			}
+			live = append(live[:i], live[i+1:]...)
+			check("delete")
+		case 6: // a load that fails once its first row is in
+			s.DB().SetFaultHook(func(op string, n int64) error {
+				if op == ordb.FaultInsert && n == 2 {
+					return errors.New("injected")
+				}
+				return nil
+			})
+			tx, err := s.DB().Begin()
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Two documents in one transaction: the second one's second
+			// insert is its root row (meta-database on) or the first one's
+			// successor (off); either way rows inserted before the fault
+			// leave again.
+			_, err1 := s.LoadXML(uniDoc, "doomed-1")
+			_, err2 := s.LoadXML(uniDoc, "doomed-2")
+			s.DB().SetFaultHook(nil)
+			if err1 == nil && err2 == nil {
+				t.Fatalf("step %d: injected fault failed no load", step)
+			}
+			if err := tx.Rollback(); err != nil {
+				t.Fatal(err)
+			}
+			check("failed load")
+		case 7: // a batch whose middle document is rolled back to a savepoint
+			tx, err := s.DB().Begin()
+			if err != nil {
+				t.Fatal(err)
+			}
+			load("batch, first")
+			if err := tx.Savepoint("sp"); err != nil {
+				t.Fatal(err)
+			}
+			load("batch, rolled back")
+			live = live[:len(live)-1]
+			if err := tx.RollbackTo("sp"); err != nil {
+				t.Fatal(err)
+			}
+			check("savepoint rollback")
+			load("batch, last")
+			if err := tx.Commit(); err != nil {
+				t.Fatal(err)
+			}
+			check("batch commit")
+		case 8, 9: // user SQL on the key column: out of order, up, down, gone
+			k := scanMax() + 5
+			exec(keyInsert, k)
+			exec("UPDATE %s SET DocID = %d WHERE DocID = %d", keyTable, k+2, k)
+			exec("UPDATE %s SET DocID = %d WHERE DocID = %d", keyTable, k-1, k+2)
+			if op == 8 {
+				exec("DELETE FROM %s WHERE DocID = %d", keyTable, k-1)
+			}
+		case 10: // checkpoint + reopen: the snapshot carries rows, no counter
+			if !durable {
+				break
+			}
+			if err := s.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+			reopen("checkpoint + reopen")
+			check("checkpoint + reopen")
+		case 11: // reopen without a checkpoint: replay must re-derive every logged DocID
+			if !durable {
+				break
+			}
+			reopen("wal replay")
+			check("wal replay")
+		}
+	}
+	if durable {
+		reopen("final replay")
+		check("final replay")
+	}
+	for _, id := range live {
+		if _, err := s.RetrieveXML(id); err != nil {
+			t.Errorf("document %d: %v", id, err)
+		}
+	}
+}
+
+// TestLoadScansNothingWhateverIsStored: the engine rows one LoadXML reads
+// do not depend on how many documents the store holds — 0 with 10 stored
+// and with 2 000, in both metadata modes.
+func TestLoadScansNothingWhateverIsStored(t *testing.T) {
+	for _, noMeta := range []bool{false, true} {
+		s, err := Open(workload.UniversityDTD, "University", Config{DisableMetadata: noMeta})
+		if err != nil {
+			t.Fatal(err)
+		}
+		stored := 0
+		for _, size := range []int{10, 2000} {
+			for ; stored < size; stored++ {
+				if _, err := s.LoadXML(uniDoc, "fill"); err != nil {
+					t.Fatal(err)
+				}
+			}
+			before := s.DB().Stats().RowsScanned
+			if _, err := s.LoadXML(uniDoc, "probe"); err != nil {
+				t.Fatal(err)
+			}
+			stored++
+			if d := s.DB().Stats().RowsScanned - before; d != 0 {
+				t.Errorf("DisableMetadata=%v: LoadXML with %d documents stored scanned %d rows, want 0", noMeta, size, d)
+			}
+		}
+	}
+}
+
+// TestRedoRecordPrecedesPublication: a stand-alone load or delete must
+// reach the log before lock-free readers can see it. The WAL write is
+// stalled; while it hangs, ReadView() still shows the old state and the
+// published version's LSN has not moved. Once the append returns, the
+// one version that carries the change is stamped with its record's LSN.
+func TestRedoRecordPrecedesPublication(t *testing.T) {
+	s := openDurT(t, t.TempDir(), DurableOptions{})
+	first, err := s.LoadXML(uniDoc, "u1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	entered, release := make(chan struct{}), make(chan struct{})
+	s.WAL().SetWriteHook(func(f *os.File, b []byte) (int, error) {
+		entered <- struct{}{}
+		<-release
+		return f.Write(b)
+	})
+	defer s.WAL().SetWriteHook(nil)
+
+	stalled := func(what string, wantDocs int, op func() error) {
+		t.Helper()
+		lsn := s.VersionLSN()
+		done := make(chan error, 1)
+		go func() { done <- op() }()
+		<-entered
+		if n := countDocs(t, s.ReadView(), "TabUniversity"); n != wantDocs {
+			t.Errorf("%s: readers see %d documents while the redo record is still being written, want %d", what, n, wantDocs)
+		}
+		if got := s.VersionLSN(); got != lsn {
+			t.Errorf("%s: published LSN moved %d -> %d before the append returned", what, lsn, got)
+		}
+		release <- struct{}{}
+		if err := <-done; err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		if got, want := s.ReadView().VersionLSN(), s.WAL().LastLSN(); got != want || got == lsn {
+			t.Errorf("%s: version LSN %d after the operation, log at %d, before %d", what, got, want, lsn)
+		}
+	}
+	stalled("load", 1, func() error { _, err := s.LoadXML(uniDoc, "u2"); return err })
+	if n := countDocs(t, s.ReadView(), "TabUniversity"); n != 2 {
+		t.Fatalf("after load: %d documents", n)
+	}
+	stalled("delete", 2, func() error { return s.DeleteDocument(first) })
+	if n := countDocs(t, s.ReadView(), "TabUniversity"); n != 1 {
+		t.Fatalf("after delete: %d documents", n)
+	}
+}
+
+// TestSharedMetadataSurvivesCheckpoint: documents whose TabMetadata rows
+// share the schema's DocData/Entities values read back identically after
+// checkpoint + reopen (the snapshot writes each row's values in full).
+func TestSharedMetadataSurvivesCheckpoint(t *testing.T) {
+	dir := t.TempDir()
+	s := openDurT(t, dir, DurableOptions{})
+	var ids []int
+	for _, name := range []string{"u1", "u2"} {
+		id, err := s.LoadXML(uniDoc, name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, id)
+	}
+	before := map[int]string{}
+	for _, id := range ids {
+		md, err := s.Meta.Document(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(md.Data) == 0 || len(md.Entities) == 0 {
+			t.Fatalf("document %d: %d DocData entries, %d entities", id, len(md.Data), len(md.Entities))
+		}
+		md.Date = md.Date.UTC()
+		before[id] = fmt.Sprintf("%+v", *md)
+	}
+	if err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	s.Close()
+	s2 := openDurT(t, dir, DurableOptions{})
+	for _, id := range ids {
+		md, err := s2.Meta.Document(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		md.Date = md.Date.UTC()
+		if got := fmt.Sprintf("%+v", *md); got != before[id] {
+			t.Errorf("document %d after checkpoint + reopen:\n%s\nbefore:\n%s", id, got, before[id])
+		}
 	}
 }

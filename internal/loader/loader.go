@@ -172,12 +172,13 @@ func (l *Loader) LoadPrepared(doc *xmldom.Document, docName string, p *Prepared)
 // allocDocID returns the next DocID: one more than the highest DocID
 // stored — in TabMetadata when the meta-database is on (its DocID column
 // is the primary key all schemas sharing the engine draw from), in the
-// root table otherwise. The result depends on stored state alone, never
-// on loader memory: WAL replay and replicas rebuild a store from a
-// snapshot plus the log and must re-derive exactly the DocIDs the log
-// recorded, and no snapshot carries a counter. The ID of the newest
-// document is therefore handed out again once that document is deleted;
-// a live document's ID never is.
+// root table otherwise. The engine keeps that maximum as a cache over the
+// rows (ordb.Table.MaxInt), so the answer costs no scan, yet it depends
+// on stored state alone, never on loader memory: WAL replay and replicas
+// rebuild a store from a snapshot plus the log and must re-derive exactly
+// the DocIDs the log recorded, and no snapshot carries a counter. The ID
+// of the newest document is therefore handed out again once that document
+// is deleted; a live document's ID never is.
 func (l *Loader) allocDocID(rootTab *ordb.Table) (int, error) {
 	tab := rootTab
 	if l.Meta != nil {
@@ -186,14 +187,7 @@ func (l *Loader) allocDocID(rootTab *ordb.Table) (int, error) {
 			return 0, err
 		}
 	}
-	max := 0
-	tab.Scan(func(r *ordb.Row) bool {
-		if n, ok := r.Vals[0].(ordb.Num); ok && int(n) > max {
-			max = int(n)
-		}
-		return true
-	})
-	return max + 1, nil
+	return tab.MaxInt(0) + 1, nil
 }
 
 // rootRow returns the document's root-table row under st.docID: the

@@ -16,6 +16,7 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync"
 	"time"
 
 	"xmlordb/internal/mapping"
@@ -98,6 +99,11 @@ type Store struct {
 	en *sql.Engine
 	// Now supplies timestamps (injectable for reproducible tests).
 	Now func() time.Time
+
+	// constMu guards consts, the collections of the last schema registered
+	// against (a store registers documents of one schema).
+	constMu sync.Mutex
+	consts  schemaConsts
 }
 
 // Install creates the meta schema in the database (idempotent: a second
@@ -121,13 +127,53 @@ func (s *Store) Reader(en *sql.Engine) *Store {
 
 // Register records a document under docID, with its mapping provenance.
 // The caller (the loader's DocID allocator) chooses the ID; DocID is the
-// table's primary key, so a collision fails the insert. The entity
-// definitions are taken from the schema's DTD.
+// table's primary key, so a collision fails the insert. The DocData
+// entries and entity definitions are the schema's (see schemaConsts).
 func (s *Store) Register(docID int, doc *xmldom.Document, sch *mapping.Schema, docName, url string) error {
 	tab, err := s.en.DB().Table("TabMetadata")
 	if err != nil {
 		return err
 	}
+	consts := s.constsFor(sch)
+	// A document-level default namespace, when declared (and admitted by
+	// the DTD's attribute list), is recorded per Section 5.
+	var namespace ordb.Value = ordb.Null{}
+	if root := doc.Root(); root != nil {
+		if ns, ok := root.Attr("xmlns"); ok {
+			namespace = ordb.Str(ns)
+		}
+	}
+	vals := []ordb.Value{
+		ordb.Num(docID),
+		ordb.Str(docName),
+		ordb.Str(url),
+		ordb.Str(sch.Opts.SchemaID),
+		namespace,
+		strOrNull(doc.Version),
+		strOrNull(doc.Encoding),
+		strOrNull(doc.Standalone),
+		consts.docData,
+		consts.entities,
+		ordb.DateVal(s.Now()),
+	}
+	if _, err := tab.Insert(vals); err != nil {
+		return fmt.Errorf("meta: registering document: %w", err)
+	}
+	return nil
+}
+
+// schemaConsts are the TabMetadata column values that depend on the
+// schema alone: the DocData provenance entries and the DTD's internal
+// entity definitions. They are built once per schema and every document's
+// row stores the same immutable values — engine values are never mutated
+// in place (an UPDATE swaps in new ones), and Insert's conform pass keeps
+// an already-conformant composite as is.
+type schemaConsts struct {
+	sch               *mapping.Schema
+	docData, entities ordb.Value
+}
+
+func buildSchemaConsts(sch *mapping.Schema) schemaConsts {
 	var docData []ordb.Value
 	for _, name := range sch.Order {
 		m := sch.Elems[name]
@@ -152,31 +198,22 @@ func (s *Store) Register(docID int, doc *xmldom.Document, sch *mapping.Schema, d
 			ordb.Str(e.Name), ordb.Str(e.Value),
 		}})
 	}
-	// A document-level default namespace, when declared (and admitted by
-	// the DTD's attribute list), is recorded per Section 5.
-	var namespace ordb.Value = ordb.Null{}
-	if root := doc.Root(); root != nil {
-		if ns, ok := root.Attr("xmlns"); ok {
-			namespace = ordb.Str(ns)
-		}
+	return schemaConsts{
+		sch:      sch,
+		docData:  &ordb.Coll{TypeName: "TypeVA_DocData", Elems: docData},
+		entities: &ordb.Coll{TypeName: "TypeVA_Entity", Elems: entities},
 	}
-	vals := []ordb.Value{
-		ordb.Num(docID),
-		ordb.Str(docName),
-		ordb.Str(url),
-		ordb.Str(sch.Opts.SchemaID),
-		namespace,
-		strOrNull(doc.Version),
-		strOrNull(doc.Encoding),
-		strOrNull(doc.Standalone),
-		&ordb.Coll{TypeName: "TypeVA_DocData", Elems: docData},
-		&ordb.Coll{TypeName: "TypeVA_Entity", Elems: entities},
-		ordb.DateVal(s.Now()),
+}
+
+// constsFor returns the schema's constant column values, building them on
+// first use.
+func (s *Store) constsFor(sch *mapping.Schema) schemaConsts {
+	s.constMu.Lock()
+	defer s.constMu.Unlock()
+	if s.consts.sch != sch {
+		s.consts = buildSchemaConsts(sch)
 	}
-	if _, err := tab.Insert(vals); err != nil {
-		return fmt.Errorf("meta: registering document: %w", err)
-	}
-	return nil
+	return s.consts
 }
 
 func strOrNull(s string) ordb.Value {

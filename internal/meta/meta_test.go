@@ -154,3 +154,69 @@ func TestStandaloneRoundTrip(t *testing.T) {
 		t.Errorf("standalone = %q (CHAR padding not stripped?)", md.Standalone)
 	}
 }
+
+// TestSchemaConstantsAreSharedAndImmutable: every document's row stores
+// the schema's one DocData and Entities value (built once, not per
+// document), the values equal a fresh per-document build, and rewriting
+// one document's row through SQL leaves the other document's untouched.
+func TestSchemaConstantsAreSharedAndImmutable(t *testing.T) {
+	store, en, sch := testStore(t)
+	doc := workload.University(workload.DefaultUniversity())
+	for id := 1; id <= 2; id++ {
+		if err := store.Register(id, doc, sch, "uni.xml", ""); err != nil {
+			t.Fatalf("Register %d: %v", id, err)
+		}
+	}
+	tab, err := en.DB().Table("TabMetadata")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rowOf := func(id int) []ordb.Value {
+		var vals []ordb.Value
+		tab.Scan(func(r *ordb.Row) bool {
+			if r.Vals[0] == ordb.Num(id) {
+				vals = r.Vals
+			}
+			return true
+		})
+		if vals == nil {
+			t.Fatalf("no TabMetadata row for document %d", id)
+		}
+		return vals
+	}
+	fresh := buildSchemaConsts(sch)
+	one, two := rowOf(1), rowOf(2)
+	for _, c := range []struct {
+		col  int
+		want ordb.Value
+	}{{8, fresh.docData}, {9, fresh.entities}} {
+		if one[c.col] != two[c.col] {
+			t.Errorf("column %d: the two documents store distinct values, want one shared", c.col)
+		}
+		if !ordb.DeepEqual(one[c.col], c.want) || !ordb.DeepEqual(two[c.col], c.want) {
+			t.Errorf("column %d differs from a per-document build:\n%s\nwant\n%s",
+				c.col, ordb.FormatValue(one[c.col]), ordb.FormatValue(c.want))
+		}
+	}
+	if _, err := en.Exec(`UPDATE TabMetadata SET DocData = TypeVA_DocData(` +
+		`Type_DocData('element', 'Rewritten', 'attrRewritten', 'VARCHAR', NULL)) WHERE DocID = 1`); err != nil {
+		t.Fatalf("UPDATE: %v", err)
+	}
+	md1, err := store.Document(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(md1.Data) != 1 || md1.Data[0].XMLName != "Rewritten" {
+		t.Fatalf("document 1 after UPDATE: %+v", md1.Data)
+	}
+	if got := rowOf(2); !ordb.DeepEqual(got[8], fresh.docData) {
+		t.Errorf("UPDATE of document 1 changed document 2's DocData:\n%s", ordb.FormatValue(got[8]))
+	}
+	// The next document still gets the schema's values, not the rewrite.
+	if err := store.Register(3, doc, sch, "uni.xml", ""); err != nil {
+		t.Fatal(err)
+	}
+	if got := rowOf(3); !ordb.DeepEqual(got[8], fresh.docData) {
+		t.Errorf("document 3 registered after the UPDATE:\n%s", ordb.FormatValue(got[8]))
+	}
+}

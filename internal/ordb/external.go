@@ -44,6 +44,7 @@ type ExternalRows interface {
 func (t *Table) AttachExternal(ext ExternalRows) {
 	t.db.mu.Lock()
 	t.ext = ext
+	t.maxDropLocked() // the backend may already hold rows
 	t.db.mu.Unlock()
 }
 
@@ -64,8 +65,9 @@ func (t *Table) ResidentRows() []*Row {
 
 // EvictResident drops the given rows from memory without logging undo —
 // the rows must already be safely stored externally, and the surrounding
-// operation must not be part of a rollback-able transaction. Returns the
-// number of rows evicted.
+// operation must not be part of a rollback-able transaction. The rows
+// stay part of the table, so the cached column maximum stands. Returns
+// the number of rows evicted.
 func (t *Table) EvictResident(evict map[*Row]bool) int {
 	if len(evict) == 0 {
 		return 0
@@ -187,6 +189,11 @@ func (t *Table) externalDelete(pred func(*Row) (bool, error)) (int, error) {
 		return 0, nil
 	}
 	n, err := ext.DeleteWhere(pred)
+	if n > 0 || err != nil {
+		t.db.mu.Lock()
+		t.maxDropLocked()
+		t.db.mu.Unlock()
+	}
 	if err != nil {
 		return n, fmt.Errorf("ordb: table %s: external delete: %w", t.Name, err)
 	}

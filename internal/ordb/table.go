@@ -86,6 +86,8 @@ type Table struct {
 	// ext, when non-nil, holds rows spilled to a storage backend; the
 	// table presents the union of ext and resident rows (external.go).
 	ext ExternalRows
+	// max caches the highest integer of one column (colmax.go).
+	max maxCache
 }
 
 // TableSpec describes a table to create.
@@ -118,6 +120,7 @@ func (db *DB) CreateTable(spec TableSpec) (*Table, error) {
 		NestedStorage: map[string]string{},
 		db:            db,
 		oidIndex:      newPmap[OID, *Row](hashOID),
+		max:           maxCache{valid: true}, // no rows: the maximum is 0
 	}
 	for k, v := range spec.NestedStorage {
 		if err := checkIdent(v); err != nil {
@@ -271,6 +274,7 @@ func (t *Table) Insert(vals []Value) (OID, error) {
 	t.rows = append(t.rows, row)
 	t.indexInsertLocked(row)
 	t.db.logUndo(undoInsert{t: t, row: row, counted: true})
+	t.maxEnterLocked(row.Vals)
 	t.markDirtyLocked()
 	t.db.maybePublishLocked()
 	t.db.mu.Unlock()
@@ -389,6 +393,7 @@ func (t *Table) RestoreRow(oid OID, vals []Value) error {
 	t.rows = append(t.rows, row)
 	t.indexInsertLocked(row)
 	t.db.logUndo(undoInsert{t: t, row: row})
+	t.maxEnterLocked(row.Vals)
 	t.markDirtyLocked()
 	t.db.maybePublishLocked()
 	return nil
@@ -480,6 +485,7 @@ func (t *Table) Delete(pred func(*Row) (bool, error)) (int, error) {
 			t.oidIndex = t.oidIndex.del(r.OID)
 		}
 		t.indexRemoveLocked(r)
+		t.maxLeaveLocked(r.Vals)
 	}
 	// kept is a fresh backing array no published version can reach.
 	t.rows = kept
@@ -501,6 +507,7 @@ func (t *Table) replaceRowLocked(row *Row, idx int, checked []Value) bool {
 	if row.epoch == t.db.epoch {
 		t.db.logUndo(undoReplace{t: t, row: row, prev: row.Vals})
 		t.indexRekeyLocked(row, row.Vals, checked)
+		t.maxReplaceLocked(row.Vals, checked)
 		row.Vals = checked
 		return true
 	}
@@ -523,6 +530,7 @@ func (t *Table) replaceRowLocked(row *Row, idx int, checked []Value) bool {
 	}
 	t.indexRemoveLocked(row)
 	t.indexInsertLocked(nr)
+	t.maxReplaceLocked(row.Vals, nr.Vals)
 	t.db.logUndo(undoSwap{t: t, idx: idx, old: row, repl: nr})
 	return true
 }

@@ -122,6 +122,7 @@ func (u undoInsert) revert() {
 		t.oidIndex = t.oidIndex.del(u.row.OID)
 	}
 	t.indexRemoveLocked(u.row)
+	t.maxLeaveLocked(u.row.Vals)
 }
 
 // undoDelete restores the pre-delete row slice and re-indexes OIDs.
@@ -142,6 +143,7 @@ func (u undoDelete) revert() {
 			u.t.oidIndex = u.t.oidIndex.set(r.OID, r)
 		}
 		u.t.indexInsertLocked(r)
+		u.t.maxEnterLocked(r.Vals)
 	}
 }
 
@@ -156,6 +158,7 @@ type undoReplace struct {
 
 func (u undoReplace) revert() {
 	u.t.indexRekeyLocked(u.row, u.row.Vals, u.prev)
+	u.t.maxReplaceLocked(u.row.Vals, u.prev)
 	u.row.Vals = u.prev
 }
 
@@ -177,6 +180,7 @@ func (u undoSwap) revert() {
 	}
 	u.t.indexRemoveLocked(u.repl)
 	u.t.indexInsertLocked(u.old)
+	u.t.maxReplaceLocked(u.repl.Vals, u.old.Vals)
 }
 
 // txSave marks a savepoint: a position in the undo log plus the OID

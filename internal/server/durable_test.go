@@ -2,14 +2,19 @@ package server
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"xmlordb"
+	"xmlordb/internal/client"
 	"xmlordb/internal/wal"
+	"xmlordb/internal/wire"
 )
 
 // durableCfg returns a server config hosting durable stores under dir.
@@ -284,5 +289,144 @@ func TestDurableServerRestartRoundTrip(t *testing.T) {
 	res, err := c2.Query(ctx, countStudentsSQL)
 	if err != nil || len(res.Rows) != 2 {
 		t.Fatalf("rows after restart = %v, %v", res, err)
+	}
+}
+
+// copyTree copies a directory tree — here a durable store directory while
+// its server still runs, i.e. the image a kill -9 would leave.
+func copyTree(t *testing.T, src, dst string) {
+	t.Helper()
+	err := filepath.Walk(src, func(path string, info os.FileInfo, err error) error {
+		if err != nil {
+			return err
+		}
+		rel, _ := filepath.Rel(src, path)
+		if info.IsDir() {
+			return os.MkdirAll(filepath.Join(dst, rel), 0o755)
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		return os.WriteFile(filepath.Join(dst, rel), data, 0o644)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestConcurrentLoadsShareOneWriter: LOAD prepares (parse, validate,
+// shred) outside the store's writer lock and applies inside it, so eight
+// sessions loading at once interleave their prepares with each other's
+// apply + fsync. The serial part must still hand out unique, gapless
+// DocIDs, the WAL must hold the load records in DocID order (replay
+// re-derives each ID from the rows before it), and recovery from the
+// on-disk image must reproduce every acknowledged document.
+func TestConcurrentLoadsShareOneWriter(t *testing.T) {
+	dir := t.TempDir()
+	_, addr := startServer(t, durableCfg(dir))
+	ctx := context.Background()
+	const sessions, perSession = 8, 50
+	ids := make([][]int, sessions)
+	var wg sync.WaitGroup
+	for s := 0; s < sessions; s++ {
+		c := mustDial(t, addr)
+		wg.Add(1)
+		go func(s int) {
+			defer wg.Done()
+			for i := 0; i < perSession; i++ {
+				id, err := c.Load(ctx, fmt.Sprintf("s%d-d%d.xml", s, i), uniDoc(fmt.Sprintf("S%dD%d", s, i), s*1000+i))
+				if err != nil {
+					t.Errorf("session %d load %d: %v", s, i, err)
+					return
+				}
+				ids[s] = append(ids[s], id)
+			}
+		}(s)
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	lname := map[int]string{}
+	for s := range ids {
+		for i, id := range ids[s] {
+			if prev, dup := lname[id]; dup {
+				t.Fatalf("DocID %d acknowledged twice (%s and S%dD%d)", id, prev, s, i)
+			}
+			lname[id] = fmt.Sprintf("S%dD%d", s, i)
+		}
+	}
+	for id := 1; id <= sessions*perSession; id++ {
+		if _, ok := lname[id]; !ok {
+			t.Fatalf("DocIDs are not gapless: %d missing among %d documents", id, len(lname))
+		}
+	}
+
+	image := filepath.Join(t.TempDir(), "uni")
+	copyTree(t, filepath.Join(dir, "uni"), image)
+	next := 1
+	if _, err := xmlordb.ScanWAL(image, func(lsn uint64, typ byte, commit bool, summary string) {
+		var id int
+		if typ != xmlordb.RecLoad {
+			t.Errorf("lsn %d: unexpected record %s", lsn, summary)
+		} else if _, err := fmt.Sscanf(summary, "LOAD doc %d", &id); err != nil || id != next {
+			t.Errorf("lsn %d: %s, want the load of document %d (log order = DocID order)", lsn, summary, next)
+		}
+		next++
+	}); err != nil {
+		t.Fatalf("ScanWAL: %v", err)
+	}
+	if next-1 != sessions*perSession {
+		t.Fatalf("log holds %d load records, want %d", next-1, sessions*perSession)
+	}
+	st, err := xmlordb.LoadStoreDir(image, xmlordb.DurableOptions{})
+	if err != nil {
+		t.Fatalf("recovering the image: %v", err)
+	}
+	defer st.Close()
+	for id, want := range lname {
+		got, err := st.RetrieveXML(id)
+		if err != nil || !strings.Contains(got, "<LName>"+want+"</LName>") {
+			t.Fatalf("recovered document %d: %v, want student %s in\n%s", id, err, want, got)
+		}
+	}
+}
+
+// TestUnloadableDocumentNeverQueuesOnTheWriter: a document that fails to
+// parse or validate is refused by LOAD's prepare half, before the writer
+// lock — so it gets its own error at once even while another session
+// sits in an open transaction holding that lock.
+func TestUnloadableDocumentNeverQueuesOnTheWriter(t *testing.T) {
+	_, addr := startServer(t, durableCfg(t.TempDir()))
+	ctx := context.Background()
+	holder := mustDial(t, addr)
+	if err := holder.Begin(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := holder.Load(ctx, "held.xml", uniDoc("Held", 1)); err != nil {
+		t.Fatal(err)
+	}
+	c, err := client.Dial(addr, client.WithTimeout(2*time.Second))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	for name, doc := range map[string]string{
+		"malformed": `<University><StudyCourse>CS</StudyCourse><Student>`,
+		"invalid":   `<University><Student StudNr="1"><LName>NoCourse</LName></Student></University>`,
+	} {
+		_, err := c.Load(ctx, name+".xml", doc)
+		var se *wire.ServerError
+		if !errors.As(err, &se) || se.Code != wire.CodeEngine {
+			t.Fatalf("%s document while another session holds BEGIN: %v, want the document's own engine error", name, err)
+		}
+	}
+	// The lock was never needed, and the holder's transaction is intact.
+	if err := holder.Commit(ctx); err != nil {
+		t.Fatalf("holder commit: %v", err)
+	}
+	if id, err := c.Load(ctx, "after.xml", uniDoc("After", 2)); err != nil || id != 2 {
+		t.Fatalf("load after the holder committed: id %d, %v", id, err)
 	}
 }

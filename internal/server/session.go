@@ -422,13 +422,7 @@ func (ss *session) dispatch(verb string, req *wire.Request) *wire.Response {
 		if name == "" {
 			name = fmt.Sprintf("session-%d.xml", ss.id)
 		}
-		return ss.withWrite(hs, func() *wire.Response {
-			id, err := hs.store.LoadXML(req.XML, name)
-			if err != nil {
-				return fail(wire.CodeEngine, "%v", err)
-			}
-			return &wire.Response{OK: true, DocID: id}
-		})
+		return ss.load(hs, req.XML, name)
 
 	case wire.VerbBulkLoad:
 		return ss.bulkLoad(hs, req)
@@ -497,6 +491,34 @@ func (ss *session) dispatch(verb string, req *wire.Request) *wire.Response {
 	default:
 		return fail(wire.CodeBadRequest, "unknown verb %q", req.Verb)
 	}
+}
+
+// load is LoadXML with its halves on either side of the writer lock:
+// parse, validation and shred (PrepareXML reads only the immutable
+// schema) run before withWrite, so they overlap another session's apply
+// and fsync, and a malformed or invalid document is refused without ever
+// queueing behind a writer or an open transaction. Only LoadPrepared —
+// DocID, rows, redo record, fsync — excludes other writers.
+func (ss *session) load(hs *hostedStore, xml, name string) *wire.Response {
+	st := hs.current()
+	p, err := st.PrepareXML(xml, name)
+	if err != nil {
+		return fail(wire.CodeEngine, "%v", err)
+	}
+	return ss.withWrite(hs, func() *wire.Response {
+		if hs.store != st {
+			// A snapshot re-seed swapped the store between the halves;
+			// prepare against the schema that will take the document.
+			if p, err = hs.store.PrepareXML(xml, name); err != nil {
+				return fail(wire.CodeEngine, "%v", err)
+			}
+		}
+		id, err := hs.store.LoadPrepared(p)
+		if err != nil {
+			return fail(wire.CodeEngine, "%v", err)
+		}
+		return &wire.Response{OK: true, DocID: id}
+	})
 }
 
 // bulkLoad runs the pipelined ingest subsystem over the request's

@@ -502,6 +502,17 @@ func (l *Log) AppendBatch(entries []Entry) (uint64, error) {
 	return last, nil
 }
 
+// SetWriteHook installs (or, with nil, removes) a function that replaces
+// segment writes — the fault-injection point of this package's tests,
+// exported so tests of the layers above can fail or stall an append at
+// the moment it reaches the file. The hook runs with the log's append
+// lock held.
+func (l *Log) SetWriteHook(h func(f *os.File, b []byte) (int, error)) {
+	l.mu.Lock()
+	l.writeHook = h
+	l.mu.Unlock()
+}
+
 // writeLocked writes b to the active segment. Callers hold l.mu.
 func (l *Log) writeLocked(b []byte) (int, error) {
 	if l.writeHook != nil {

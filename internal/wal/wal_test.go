@@ -273,18 +273,14 @@ func TestFailedWriteRolledBack(t *testing.T) {
 	// Inject a partial write: half the frame reaches the file, then the
 	// disk "fails". The log must truncate the torn bytes away and stay
 	// usable.
-	l.mu.Lock()
-	l.writeHook = func(f *os.File, b []byte) (int, error) {
+	l.SetWriteHook(func(f *os.File, b []byte) (int, error) {
 		n, _ := f.Write(b[:len(b)/2])
 		return n, fmt.Errorf("injected write failure")
-	}
-	l.mu.Unlock()
+	})
 	if _, err := l.Append(1, []byte("torn")); err == nil {
 		t.Fatal("Append with failing write succeeded")
 	}
-	l.mu.Lock()
-	l.writeHook = nil
-	l.mu.Unlock()
+	l.SetWriteHook(nil)
 	lsn, err := l.Append(1, []byte("second"))
 	if err != nil {
 		t.Fatalf("Append after rolled-back failure: %v", err)
@@ -316,19 +312,15 @@ func TestUnrollableWritePoisonsLogAndReopenRepairs(t *testing.T) {
 	}
 	// Inject a tear that cannot be rolled back: half a frame lands and
 	// the file dies under us, so the post-failure Truncate fails too.
-	l.mu.Lock()
-	l.writeHook = func(f *os.File, b []byte) (int, error) {
+	l.SetWriteHook(func(f *os.File, b []byte) (int, error) {
 		n, _ := f.Write(b[:len(b)/2])
 		f.Close()
 		return n, fmt.Errorf("injected disk loss")
-	}
-	l.mu.Unlock()
+	})
 	if _, err := l.Append(1, []byte("torn")); err == nil {
 		t.Fatal("Append with failing write succeeded")
 	}
-	l.mu.Lock()
-	l.writeHook = nil
-	l.mu.Unlock()
+	l.SetWriteHook(nil)
 	// The log is poisoned: further appends must refuse rather than bury
 	// the torn bytes mid-log.
 	if _, err := l.Append(1, []byte("after")); !errors.Is(err, ErrPoisoned) {
