@@ -86,13 +86,6 @@ func (s *Store) LoadPrepared(p *PreparedDoc) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	// A btree store spills the just-loaded rows to disk immediately so
-	// the resident set stays bounded by one document. No-op inside an
-	// open transaction; the ingest commit stage flushes once per
-	// committed batch instead.
-	if _, err := s.FlushToBackend(); err != nil {
-		return id, err
-	}
 	return id, nil
 }
 

@@ -166,7 +166,6 @@ func runServe(args []string, out io.Writer) error {
 		replHB       = fs.Duration("repl-heartbeat", 0, "replication stream heartbeat interval")
 		replRetry    = fs.Duration("repl-retry", 0, "replica reconnect backoff (doubles up to a 10s cap)")
 		replRefresh  = fs.Duration("repl-store-refresh", 0, "how often a replica re-polls the primary's store list")
-		backend      = fs.String("backend", "", `storage backend for OPENed stores: "mem" (default, resident rows) or "btree" (spill loaded documents to an on-disk B-tree)`)
 		shards       = fs.Int("shards", 0, "embedded sharding: boot N in-process shard servers and route -addr over them")
 		shardIndex   = fs.Int("shard-index", 0, "this server's 0-based slot in a sharded topology (with -shard-count)")
 		shardCount   = fs.Int("shard-count", 0, "shard topology size this server belongs to (0 = unsharded)")
@@ -200,7 +199,6 @@ func runServe(args []string, out io.Writer) error {
 		ReplHeartbeat:     *replHB,
 		ReplRetry:         *replRetry,
 		ReplStoreRefresh:  *replRefresh,
-		Backend:           *backend,
 		ShardIndex:        *shardIndex,
 		ShardCount:        *shardCount,
 		IngestWorkers:     *ingWorkers,
@@ -691,16 +689,6 @@ func printStats(out io.Writer, st *wire.Stats) {
 		fmt.Fprintf(out, "store %s: %d doc(s); parse %d/%d hit/miss; plan %d/%d; inserts %d; rows scanned %d; derefs %d; index probes %d\n",
 			s.Name, s.Documents, s.ParseHits, s.ParseMisses, s.PlanHits, s.PlanMisses,
 			s.Inserts, s.RowsScanned, s.Derefs, s.IndexProbes)
-		if s.Backend != "" && s.Backend != xmlordb.BackendMem {
-			hits, total := s.BTreeCacheHits, s.BTreeCacheHits+s.BTreeCacheMisses
-			pct := float64(0)
-			if total > 0 {
-				pct = 100 * float64(hits) / float64(total)
-			}
-			fmt.Fprintf(out, "  backend %s: %d page(s); %d put(s), %d get(s); page cache %d slot(s), %.1f%% hit, %d evicted\n",
-				s.Backend, s.BTreePages, s.BTreePuts, s.BTreeGets,
-				s.BTreeCacheSlots, pct, s.BTreeCacheEvicted)
-		}
 		if s.Durable {
 			batch := float64(0)
 			if s.WALFsyncs > 0 {

@@ -323,9 +323,6 @@ func (s *Store) AttachDir(dir string, opts DurableOptions) error {
 	if w := s.wal.Load(); w != nil {
 		return fmt.Errorf("xmlordb: store is already durable (%s)", w.dir)
 	}
-	if s.backend != nil {
-		return fmt.Errorf("xmlordb: the btree backend cannot be combined with WAL durability (spilled rows bypass the log)")
-	}
 	if s.Engine.DB().CurrentTx() != nil {
 		return fmt.Errorf("xmlordb: AttachDir with a transaction open")
 	}
@@ -492,17 +489,13 @@ func (s *Store) Checkpoint() error {
 // no-op. It does NOT checkpoint — pair with Checkpoint for a clean
 // shutdown that makes the next open replay-free.
 func (s *Store) Close() error {
-	berr := s.closeBackend()
 	w := s.wal.Swap(nil)
 	if w == nil {
-		return berr
+		return nil
 	}
 	s.Engine.DB().SetTxObserver(nil)
 	s.Engine.DB().SetLSNSource(nil)
-	if err := w.log.Close(); err != nil {
-		return err
-	}
-	return berr
+	return w.log.Close()
 }
 
 // applyWALRecord re-executes one redo record during recovery. It runs

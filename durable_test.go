@@ -464,33 +464,21 @@ func TestDocIDsRecoverAfterDeletingNewest(t *testing.T) {
 // DocID — loads, deleting the newest and the oldest document, a load
 // that fails after its rows went in, a savepoint rollback inside a batch,
 // SQL INSERT/UPDATE/DELETE on the key column, checkpoint + reopen and WAL
-// replay — in both metadata modes and on both backends (the btree
-// backend has no log, so the reopen steps apply to mem only). Every
-// successful load must also get exactly scan-maximum + 1.
+// replay — in both metadata modes. Every successful load must also get
+// exactly scan-maximum + 1.
 func TestAllocatorMatchesFullScan(t *testing.T) {
 	for _, noMeta := range []bool{false, true} {
-		for _, backend := range []string{BackendMem, BackendBTree} {
-			for seed := int64(1); seed <= 3; seed++ {
-				name := fmt.Sprintf("noMeta=%v/%s/seed%d", noMeta, backend, seed)
-				t.Run(name, func(t *testing.T) { runAllocatorOracle(t, noMeta, backend, seed) })
-			}
+		for seed := int64(1); seed <= 3; seed++ {
+			name := fmt.Sprintf("noMeta=%v/seed%d", noMeta, seed)
+			t.Run(name, func(t *testing.T) { runAllocatorOracle(t, noMeta, seed) })
 		}
 	}
 }
 
-func runAllocatorOracle(t *testing.T, noMeta bool, backend string, seed int64) {
+func runAllocatorOracle(t *testing.T, noMeta bool, seed int64) {
 	rng := rand.New(rand.NewSource(seed))
-	cfg := Config{DisableMetadata: noMeta, Backend: backend}
 	dir := t.TempDir()
-	durable := backend == BackendMem
-	var s *Store
-	var err error
-	if durable {
-		s, err = OpenDir(dir, workload.UniversityDTD, "University", cfg, DurableOptions{})
-	} else {
-		cfg.BackendPath = filepath.Join(dir, "store.xbt")
-		s, err = Open(workload.UniversityDTD, "University", cfg)
-	}
+	s, err := OpenDir(dir, workload.UniversityDTD, "University", Config{DisableMetadata: noMeta}, DurableOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -628,26 +616,18 @@ func runAllocatorOracle(t *testing.T, noMeta bool, backend string, seed int64) {
 				exec("DELETE FROM %s WHERE DocID = %d", keyTable, k-1)
 			}
 		case 10: // checkpoint + reopen: the snapshot carries rows, no counter
-			if !durable {
-				break
-			}
 			if err := s.Checkpoint(); err != nil {
 				t.Fatal(err)
 			}
 			reopen("checkpoint + reopen")
 			check("checkpoint + reopen")
 		case 11: // reopen without a checkpoint: replay must re-derive every logged DocID
-			if !durable {
-				break
-			}
 			reopen("wal replay")
 			check("wal replay")
 		}
 	}
-	if durable {
-		reopen("final replay")
-		check("final replay")
-	}
+	reopen("final replay")
+	check("final replay")
 	for _, id := range live {
 		if _, err := s.RetrieveXML(id); err != nil {
 			t.Errorf("document %d: %v", id, err)

@@ -72,7 +72,7 @@ func (t *Table) String() string {
 
 // Experiments lists all experiment IDs in run order. A1/A2 are ablations
 // of design choices DESIGN.md section 5 calls out.
-var Experiments = []string{"T1", "F2", "E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8", "E9", "E10", "E11", "A1", "A2", "W1", "W2", "R1", "R2", "S1"}
+var Experiments = []string{"T1", "F2", "E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8", "E9", "E11", "A1", "A2", "W1", "W2", "R1", "R2", "S1"}
 
 // Run executes one experiment by ID.
 func Run(id string) (*Table, error) {
@@ -99,8 +99,6 @@ func Run(id string) (*Table, error) {
 		return E8()
 	case "E9":
 		return E9()
-	case "E10":
-		return E10()
 	case "E11":
 		return E11()
 	case "A1":

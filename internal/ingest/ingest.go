@@ -338,12 +338,6 @@ func Run(store *xmlordb.Store, src Source, opts Options) (*Result, error) {
 			if applied > res.MaxBatchDocs {
 				res.MaxBatchDocs = applied
 			}
-			// One backend spill per committed batch (no-op for mem stores).
-			if _, ferr := store.FlushToBackend(); ferr != nil && runErr == nil {
-				runErr = ferr
-				stopping = true
-				cancel()
-			}
 		}
 	}
 

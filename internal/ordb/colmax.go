@@ -5,12 +5,12 @@ package ordb
 // A key allocator asks "what is the highest integer stored in this
 // column" on every insert; answering by scan makes every load cost what
 // the store holds. The table therefore caches the answer for the column
-// last asked about. The cache is a function of the stored rows — resident
-// and external alike — and nothing else: every mutation that lets a row
-// enter raises it, every mutation that lets the row carrying the maximum
-// leave drops it, and the next request recomputes it with one scan. It is
-// never persisted, so a snapshot carries no counter and recovery derives
-// the same answers from the same rows.
+// last asked about. The cache is a function of the stored rows and
+// nothing else: every mutation that lets a row enter raises it, every
+// mutation that lets the row carrying the maximum leave drops it, and
+// the next request recomputes it with one scan. It is never persisted,
+// so a snapshot carries no counter and recovery derives the same answers
+// from the same rows.
 type maxCache struct {
 	col   int
 	val   int
@@ -30,12 +30,11 @@ func (c *maxCache) intAt(vals []Value) int {
 }
 
 // MaxInt returns the highest positive integer stored in column col (by
-// position) across all rows, external and resident, and 0 when there is
-// none — the value a key allocator adds one to. O(1) unless a row that
-// carried the maximum left the table since the last call, in which case
-// one scan (charged to RowsScanned) re-derives it. A published version
-// carries no cache (its external backend is shared with the live table
-// and may change under it) and always scans.
+// position) across all rows, and 0 when there is none — the value a key
+// allocator adds one to. O(1) unless a row that carried the maximum left
+// the table since the last call, in which case one scan (charged to
+// RowsScanned) re-derives it. A published version carries no cache and
+// always scans.
 func (t *Table) MaxInt(col int) int {
 	t.db.rlock()
 	c := t.max
@@ -89,12 +88,4 @@ func (t *Table) maxReplaceLocked(old, repl []Value) {
 	}
 	t.maxEnterLocked(repl)
 	t.maxLeaveLocked(old)
-}
-
-// maxDropLocked forgets the cache after a change the table cannot see
-// row by row (a backend delete, a backend attached with rows in it).
-// Callers hold db.mu (write).
-func (t *Table) maxDropLocked() {
-	t.max.gen++
-	t.max.valid = false
 }

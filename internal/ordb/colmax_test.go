@@ -5,38 +5,6 @@ import (
 	"testing"
 )
 
-// spillRows is a minimal ExternalRows: rows the test moved out of the
-// resident set, as a store's FlushToBackend does.
-type spillRows struct{ rows []*Row }
-
-func (s *spillRows) Cursor() Cursor                          { return NewSliceCursor(s.rows) }
-func (s *spillRows) ProbeEqual(string, Value) ([]*Row, bool) { return nil, false }
-func (s *spillRows) Count() int                              { return len(s.rows) }
-func (s *spillRows) Lookup(oid OID) (*Row, bool) {
-	for _, r := range s.rows {
-		if r.OID == oid {
-			return r, true
-		}
-	}
-	return nil, false
-}
-
-func (s *spillRows) DeleteWhere(pred func(*Row) (bool, error)) (int, error) {
-	var kept []*Row
-	for _, r := range s.rows {
-		ok, err := pred(r)
-		if err != nil {
-			return 0, err
-		}
-		if !ok {
-			kept = append(kept, r)
-		}
-	}
-	n := len(s.rows) - len(kept)
-	s.rows = kept
-	return n, nil
-}
-
 // scanMax is the oracle: the allocator's old full scan.
 func scanMax(tab *Table) int {
 	max := 0
@@ -54,9 +22,8 @@ func scanMax(tab *Table) int {
 // duplicate keys, deletes of the newest, the oldest and random rows, key
 // updates through UpdateWhere, ReplaceWhere and ReplaceByOID on both
 // private and published rows, snapshot restores, full and savepoint
-// rollbacks, spills to an external backend and backend deletes — and
-// after every step compares MaxInt with a full scan, on the live table
-// and on the published version.
+// rollbacks — and after every step compares MaxInt with a full scan, on
+// the live table and on the published version.
 func TestMaxIntMatchesScan(t *testing.T) {
 	for _, object := range []bool{false, true} {
 		for seed := int64(1); seed <= 6; seed++ {
@@ -86,7 +53,6 @@ func runMaxIntOracle(t *testing.T, object bool, seed int64) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ext := &spillRows{}
 	var tx *Tx
 	savepoint := false
 
@@ -122,7 +88,7 @@ func runMaxIntOracle(t *testing.T, object bool, seed int64) {
 	}
 
 	for step := 0; step < 600; step++ {
-		op := rng.Intn(16)
+		op := rng.Intn(15)
 		switch op {
 		case 0, 1, 2: // insert above the maximum, as the loader does
 			if _, err := tab.Insert([]Value{Num(tab.MaxInt(0) + 1), Str("next")}); err != nil {
@@ -144,7 +110,7 @@ func runMaxIntOracle(t *testing.T, object bool, seed int64) {
 					t.Fatal(err)
 				}
 			}
-		case 7: // UPDATE ... SET k = ... (resident rows only, like SQL UPDATE)
+		case 7: // UPDATE ... SET k = ...
 			if k, ok := randomKey(); ok {
 				to := newKey()
 				if _, err := tab.UpdateWhere(keyIs(k), func(vals []Value) ([]Value, error) {
@@ -154,7 +120,8 @@ func runMaxIntOracle(t *testing.T, object bool, seed int64) {
 				}
 			}
 		case 8: // replace one row, key included
-			rows := tab.ResidentRows()
+			var rows []*Row
+			tab.Scan(func(r *Row) bool { rows = append(rows, r); return true })
 			if len(rows) == 0 {
 				break
 			}
@@ -168,7 +135,7 @@ func runMaxIntOracle(t *testing.T, object bool, seed int64) {
 			if err != nil {
 				t.Fatal(err)
 			}
-		case 9, 14, 15: // transactions: begin, savepoint, partial and full rollback, commit
+		case 9, 13, 14: // transactions: begin, savepoint, partial and full rollback, commit
 			switch {
 			case tx == nil:
 				if tx, err = db.Begin(); err != nil {
@@ -202,27 +169,14 @@ func runMaxIntOracle(t *testing.T, object bool, seed int64) {
 			if err := tab.RestoreRow(oid, []Value{Num(newKey()), Str("restored")}); err != nil {
 				t.Fatal(err)
 			}
-		case 11: // spill every resident row, as FlushToBackend does at a commit boundary
-			if tx != nil {
-				break
-			}
-			if tab.External() == nil {
-				tab.AttachExternal(ext)
-			}
-			evict := map[*Row]bool{}
-			for _, r := range tab.ResidentRows() {
-				ext.rows = append(ext.rows, r)
-				evict[r] = true
-			}
-			tab.EvictResident(evict)
-		case 12: // two requests in a row: the second must not scan
+		case 11: // two requests in a row: the second must not scan
 			tab.MaxInt(0)
 			before := db.Stats().RowsScanned
 			tab.MaxInt(0)
 			if d := db.Stats().RowsScanned - before; d != 0 {
 				t.Fatalf("object=%v seed %d step %d: repeated MaxInt scanned %d rows", object, seed, step, d)
 			}
-		case 13: // another column, then back
+		case 12: // another column, then back
 			tab.MaxInt(1)
 		}
 		want := scanMax(tab)

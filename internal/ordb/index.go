@@ -184,38 +184,8 @@ func (t *Table) IndexNames() []string {
 // `=` semantics (CHAR padding insignificant, NULL matches nothing). The
 // second result is false when the column has no index or v is not a
 // probe-able scalar — callers must then fall back to a scan. Every
-// successful probe counts toward Stats.IndexProbes. With an external
-// backend attached the result is the union — external matches first,
-// mirroring Cursor order — and the probe only succeeds when both sides
-// can answer by index.
+// successful probe counts toward Stats.IndexProbes.
 func (t *Table) ProbeEqual(col string, v Value) ([]*Row, bool) {
-	t.db.rlock()
-	ext := t.ext
-	t.db.runlock()
-	if ext == nil {
-		return t.residentProbeEqual(col, v)
-	}
-	if IsNull(v) {
-		t.db.stats.IndexProbes.Add(1)
-		return nil, true
-	}
-	extRows, ok := ext.ProbeEqual(col, v)
-	if !ok {
-		return nil, false
-	}
-	resRows, ok := t.residentProbeEqual(col, v)
-	if !ok {
-		return nil, false
-	}
-	if len(extRows) == 0 {
-		return resRows, true
-	}
-	out := make([]*Row, 0, len(extRows)+len(resRows))
-	out = append(out, extRows...)
-	return append(out, resRows...), true
-}
-
-func (t *Table) residentProbeEqual(col string, v Value) ([]*Row, bool) {
 	ix := t.EqIndex(col)
 	if ix == nil {
 		return nil, false

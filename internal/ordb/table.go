@@ -83,9 +83,6 @@ type Table struct {
 	indexes []*Index
 	// colNames caches the column-name slice handed to query scopes.
 	colNames []string
-	// ext, when non-nil, holds rows spilled to a storage backend; the
-	// table presents the union of ext and resident rows (external.go).
-	ext ExternalRows
 	// max caches the highest integer of one column (colmax.go).
 	max maxCache
 }
@@ -403,26 +400,57 @@ func (t *Table) RestoreRow(oid OID, vals []Value) error {
 // the stored row; callers must not mutate it. Returning false stops the
 // scan early.
 func (t *Table) Scan(fn func(*Row) bool) {
-	c := t.Cursor()
-	defer c.Close()
-	for {
-		r, ok := c.Next()
-		if !ok || !fn(r) {
-			return
+	t.db.rlock()
+	rows := t.rows
+	t.db.runlock()
+	n := 0
+	for _, r := range rows {
+		n++
+		if !fn(r) {
+			break
 		}
 	}
+	t.db.stats.RowsScanned.Add(int64(n))
 }
 
-// RowCount reports the number of stored rows, external and resident.
+// Cursor is a pull iterator over the rows a table held when the cursor
+// was opened, in insertion order; later inserts and deletes do not
+// affect it.
+type Cursor struct {
+	t    *Table
+	rows []*Row
+	i    int
+}
+
+// Cursor opens a pull scan. Close must be called: it charges the rows
+// pulled to the RowsScanned stat.
+func (t *Table) Cursor() *Cursor {
+	t.db.rlock()
+	defer t.db.runlock()
+	return &Cursor{t: t, rows: t.rows}
+}
+
+// Next returns the next row, or (nil, false) when exhausted.
+func (c *Cursor) Next() (*Row, bool) {
+	if c.i >= len(c.rows) {
+		return nil, false
+	}
+	r := c.rows[c.i]
+	c.i++
+	return r, true
+}
+
+// Close ends the scan; closing twice charges nothing further.
+func (c *Cursor) Close() {
+	c.t.db.stats.RowsScanned.Add(int64(c.i))
+	c.rows, c.i = nil, 0
+}
+
+// RowCount reports the number of stored rows.
 func (t *Table) RowCount() int {
 	t.db.rlock()
-	n := len(t.rows)
-	ext := t.ext
-	t.db.runlock()
-	if ext != nil {
-		n += ext.Count()
-	}
-	return n
+	defer t.db.runlock()
+	return len(t.rows)
 }
 
 // Delete removes rows for which pred returns true and reports how many
@@ -437,13 +465,6 @@ func (t *Table) Delete(pred func(*Row) (bool, error)) (int, error) {
 	if err := t.db.fault(FaultDelete); err != nil {
 		return 0, fmt.Errorf("ordb: table %s: %w", t.Name, err)
 	}
-	// External rows first. Backend deletions bypass the undo log (the
-	// backend has no versioning); the store layer only exposes external
-	// storage on configurations where that is acceptable.
-	extN, err := t.externalDelete(pred)
-	if err != nil {
-		return extN, err
-	}
 	t.db.mu.RLock()
 	snapshot := t.rows
 	t.db.mu.RUnlock()
@@ -452,7 +473,7 @@ func (t *Table) Delete(pred func(*Row) (bool, error)) (int, error) {
 		for _, r := range snapshot {
 			ok, err := pred(r)
 			if err != nil {
-				return extN, err
+				return 0, err
 			}
 			if ok {
 				if del == nil {
@@ -462,7 +483,7 @@ func (t *Table) Delete(pred func(*Row) (bool, error)) (int, error) {
 			}
 		}
 		if len(del) == 0 {
-			return extN, nil
+			return 0, nil
 		}
 	}
 	t.db.mu.Lock()
@@ -477,7 +498,7 @@ func (t *Table) Delete(pred func(*Row) (bool, error)) (int, error) {
 		}
 	}
 	if len(removed) == 0 {
-		return extN, nil
+		return 0, nil
 	}
 	t.db.logUndo(undoDelete{t: t, prev: t.rows, prevShared: t.rowsShared, removed: removed})
 	for _, r := range removed {
@@ -492,7 +513,7 @@ func (t *Table) Delete(pred func(*Row) (bool, error)) (int, error) {
 	t.rowsShared = false
 	t.markDirtyLocked()
 	t.db.maybePublishLocked()
-	return extN + len(removed), nil
+	return len(removed), nil
 }
 
 // replaceRowLocked installs new values for a row, preserving its OID
@@ -748,11 +769,7 @@ func (db *DB) FetchByOID(table string, oid OID) (*Object, error) {
 	db.stats.Derefs.Add(1)
 	db.rlock()
 	found, _ := t.oidIndex.get(oid)
-	ext := t.ext
 	db.runlock()
-	if found == nil && ext != nil {
-		found, _ = ext.Lookup(oid)
-	}
 	if found == nil {
 		return nil, fmt.Errorf("ordb: %s oid %d: %w", table, oid, ErrDanglingRef)
 	}

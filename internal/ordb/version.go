@@ -259,10 +259,6 @@ func (t *Table) freezeLocked(v *DB) *Table {
 		pkCols:        t.pkCols,
 		colNames:      t.colNames,
 		live:          t,
-		// The external backend is shared, not versioned: frozen readers
-		// see its current contents. Safe because flushed rows are only
-		// appended by the store layer outside transactions.
-		ext: t.ext,
 	}
 	ft.indexes = make([]*Index, len(t.indexes))
 	for i, ix := range t.indexes {

@@ -3,7 +3,6 @@ package server
 import (
 	"context"
 	"fmt"
-	"os"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -93,13 +92,6 @@ func TestReadsServeDuringOpenTransaction(t *testing.T) {
 // the student count equals the number of committed documents at that
 // version — never a fractional document.
 func TestServerReadersVsWriterChurn(t *testing.T) {
-	if os.Getenv("XMLORDB_TEST_BACKEND") == "btree" {
-		// Spilled rows live outside the MVCC version chain: B-tree reads
-		// are read-committed, not snapshot-isolated, so concurrent
-		// readers can observe a flushed document before its deletion.
-		// DESIGN.md §11 records the trade-off.
-		t.Skip("btree backend does not give snapshot isolation over spilled rows")
-	}
 	_, addr := startServer(t, Config{})
 	ctx := context.Background()
 

@@ -136,12 +136,11 @@ type Config struct {
 	// store list so stores OPENed after the replica connected get
 	// replicated too (default DefaultReplStoreRefresh).
 	ReplStoreRefresh time.Duration
-	// Backend selects the storage backend for stores OPENed on this
-	// server: "" or "mem" keeps rows resident in the MVCC engine,
-	// "btree" spills loaded documents to an on-disk B-tree so the
-	// resident set stays small (see xmlordb.Config.Backend). The btree
-	// backend is incompatible with WAL durability — OPEN is rejected
-	// when a SnapshotDir is configured too.
+	// Backend must be "" or xmlordb.BackendMem; OPEN refuses any other
+	// value.
+	//
+	// Deprecated: kept for the benchmark module; remove with the next
+	// [benchmark] PR.
 	Backend string
 	// ShardCount / ShardIndex give the server a shard identity: this is
 	// shard ShardIndex (0-based) of a ShardCount-wide topology behind a
@@ -458,14 +457,11 @@ func (s *Server) openStore(name, dtdText, root string, cfg xmlordb.Config) (*xml
 	if err != nil {
 		return nil, err
 	}
-	if cfg.Backend == "" {
-		cfg.Backend = s.cfg.Backend
+	if b := s.cfg.Backend; b != "" && b != xmlordb.BackendMem {
+		return nil, fmt.Errorf("server: unknown storage backend %q", b)
 	}
 	if s.cfg.SnapshotDir == "" {
 		return xmlordb.Open(dtdText, root, cfg)
-	}
-	if cfg.Backend == xmlordb.BackendBTree {
-		return nil, fmt.Errorf("server: the btree backend cannot be combined with persistence (a snapshot directory)")
 	}
 	return xmlordb.OpenDir(filepath.Join(s.cfg.SnapshotDir, name), dtdText, root, cfg, opts)
 }
@@ -780,16 +776,6 @@ func (s *Server) statsPayload() *wire.Stats {
 			ss.IngestBytes = is.Bytes
 			ss.IngestNanos = is.Nanos
 			ss.IngestWorkers = int(is.Workers)
-		}
-		ss.Backend = store.Backend()
-		if bs, ok := store.BackendStats(); ok {
-			ss.BTreePages = int(bs.Pages)
-			ss.BTreePuts = bs.Puts
-			ss.BTreeGets = bs.Gets
-			ss.BTreeCacheHits = bs.PageCacheHits
-			ss.BTreeCacheMisses = bs.PageCacheMiss
-			ss.BTreeCacheEvicted = bs.PageEvictions
-			ss.BTreeCacheSlots = bs.PageCacheSlots
 		}
 		st.StoreStats = append(st.StoreStats, ss)
 	}

@@ -49,26 +49,12 @@ func uniDoc(lname string, studNr int) string {
 
 const countStudentsSQL = `SELECT st.attrLName FROM TabUniversity u, TABLE(u.attrStudent) st`
 
-// testBackend is the CI backend override: XMLORDB_TEST_BACKEND=btree
-// reruns the server integration suite with every store spilling to the
-// on-disk B-tree. Persistent configs keep the mem backend — the btree
-// is mutually exclusive with WAL durability.
-func testBackend(cfg Config) string {
-	if cfg.SnapshotDir != "" {
-		return ""
-	}
-	return os.Getenv("XMLORDB_TEST_BACKEND")
-}
-
 // startServer boots a server hosting one "uni" store — in memory, or a
 // durable directory when cfg has a SnapshotDir — on a loopback listener
 // and returns it with its address. Shutdown runs in cleanup (tolerating
 // tests that already shut down).
 func startServer(t *testing.T, cfg Config) (*Server, string) {
 	t.Helper()
-	if cfg.Backend == "" {
-		cfg.Backend = testBackend(cfg)
-	}
 	srv := New(cfg)
 	if err := srv.OpenStore("uni", uniDTD, "University", xmlordb.Config{}); err != nil {
 		t.Fatal(err)
@@ -748,6 +734,20 @@ func TestServerMultiStore(t *testing.T) {
 	}
 	if _, err := c2.Query(ctx, countStudentsSQL); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestOpenRefusesUnknownBackend: the one row store is named "" or "mem";
+// anything else fails at OPEN rather than being silently ignored.
+func TestOpenRefusesUnknownBackend(t *testing.T) {
+	for _, b := range []string{"", xmlordb.BackendMem} {
+		if err := New(Config{Backend: b}).OpenStore("uni", uniDTD, "University", xmlordb.Config{}); err != nil {
+			t.Errorf("backend %q: %v", b, err)
+		}
+	}
+	err := New(Config{Backend: "btree"}).OpenStore("uni", uniDTD, "University", xmlordb.Config{})
+	if err == nil || !strings.Contains(err.Error(), `"btree"`) {
+		t.Errorf("backend btree: err = %v, want a refusal naming it", err)
 	}
 }
 

@@ -36,22 +36,46 @@ func FormatExpr(e Expr) string {
 	case *CastMultiset:
 		return "CAST(MULTISET(" + FormatSelect(x.Sub) + ") AS " + x.TypeName + ")"
 	case *Binary:
-		return "(" + FormatExpr(x.L) + " " + x.Op + " " + FormatExpr(x.R) + ")"
+		side := formatOperand
+		if x.Op == "AND" || x.Op == "OR" {
+			side = FormatExpr // their operands may be predicates and NOT
+		}
+		return "(" + side(x.L) + " " + x.Op + " " + side(x.R) + ")"
 	case *Unary:
 		if x.Op == "NOT" {
 			return "NOT " + FormatExpr(x.E)
 		}
-		return x.Op + FormatExpr(x.E)
+		inner := formatOperand(x.E)
+		if strings.HasPrefix(inner, "-") {
+			inner = "(" + inner + ")" // "--" would open a comment
+		}
+		return x.Op + inner
 	case *IsNull:
 		if x.Not {
-			return FormatExpr(x.E) + " IS NOT NULL"
+			return formatOperand(x.E) + " IS NOT NULL"
 		}
-		return FormatExpr(x.E) + " IS NULL"
+		return formatOperand(x.E) + " IS NULL"
 	case *Exists:
 		return "EXISTS (" + FormatSelect(x.Sub) + ")"
 	default:
 		return "?"
 	}
+}
+
+// formatOperand renders e where the grammar takes an operand of a
+// comparison, of || or of unary minus: IS NULL and NOT bind looser than
+// those and are parenthesized (a Binary parenthesizes itself).
+func formatOperand(e Expr) string {
+	s := FormatExpr(e)
+	switch x := e.(type) {
+	case *IsNull:
+		return "(" + s + ")"
+	case *Unary:
+		if x.Op == "NOT" {
+			return "(" + s + ")"
+		}
+	}
+	return s
 }
 
 // FormatSelect renders a SELECT statement back to SQL text.

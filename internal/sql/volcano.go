@@ -462,7 +462,7 @@ type scanLegIter struct {
 	tbl   *ordb.Table
 	alias string
 	s     *scope
-	cur   ordb.Cursor
+	cur   *ordb.Cursor
 }
 
 func (it *scanLegIter) Next() (bool, error) {

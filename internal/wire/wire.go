@@ -365,7 +365,7 @@ type StoreStats struct {
 	Derefs      int64  `json:"derefs"`
 	IndexProbes int64  `json:"index_probes"`
 	// Durable and the WAL* fields describe the write-ahead log of a
-	// durable store; all stay zero for in-memory snapshot stores.
+	// durable store; all stay zero for in-memory stores.
 	Durable          bool   `json:"durable,omitempty"`
 	WALRecords       int64  `json:"wal_records,omitempty"`
 	WALBytes         int64  `json:"wal_bytes,omitempty"`
@@ -374,17 +374,6 @@ type StoreStats struct {
 	WALReplayed      int    `json:"wal_replayed,omitempty"`
 	WALLastLSN       uint64 `json:"wal_last_lsn,omitempty"`
 	WALCheckpointLSN uint64 `json:"wal_checkpoint_lsn,omitempty"`
-	// Backend names the store's storage backend ("mem" or "btree"); the
-	// BTree* fields report the on-disk tree's page and cache counters and
-	// stay zero for mem-backed stores.
-	Backend           string `json:"backend,omitempty"`
-	BTreePages        int    `json:"btree_pages,omitempty"`
-	BTreePuts         int64  `json:"btree_puts,omitempty"`
-	BTreeGets         int64  `json:"btree_gets,omitempty"`
-	BTreeCacheHits    int64  `json:"btree_cache_hits,omitempty"`
-	BTreeCacheMisses  int64  `json:"btree_cache_misses,omitempty"`
-	BTreeCacheEvicted int64  `json:"btree_cache_evicted,omitempty"`
-	BTreeCacheSlots   int    `json:"btree_cache_slots,omitempty"`
 	// Ingest* report the store's bulk-ingest counters: pipeline runs,
 	// documents loaded/failed, commit batches, raw XML bytes, total
 	// pipeline wall-clock nanos and the worker count of the last run.

@@ -35,9 +35,6 @@ type storeSnapshot struct {
 // Save writes the complete store — schema and all stored documents — to
 // w. The snapshot restores with LoadStore.
 func (s *Store) Save(w io.Writer) error {
-	if s.backend != nil {
-		return fmt.Errorf("xmlordb: Save does not cover rows spilled to the btree backend")
-	}
 	var engineBuf bytes.Buffer
 	if err := s.Engine.SaveSnapshot(&engineBuf); err != nil {
 		return fmt.Errorf("xmlordb: saving engine state: %w", err)

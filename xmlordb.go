@@ -58,6 +58,12 @@ const (
 	CollNestedTable = mapping.CollNestedTable
 )
 
+// BackendMem names the one row store: rows resident in the MVCC engine.
+//
+// Deprecated: kept for the benchmark module; remove with the next
+// [benchmark] PR.
+const BackendMem = "mem"
+
 // Config selects mapping and engine behaviour.
 type Config struct {
 	// Mode is the emulated DBMS version; defaults to ModeOracle9 (and to
@@ -83,18 +89,6 @@ type Config struct {
 	// DisableMetadata turns off the Section 5 meta-database; round trips
 	// then lose prolog and entity references (experiment E4).
 	DisableMetadata bool
-	// Backend selects row storage: "" or "mem" keeps every row resident
-	// in the MVCC engine; "btree" spills each loaded document to an
-	// on-disk B-tree and evicts it from memory, so corpora larger than
-	// RAM stay queryable (see backend.go and DESIGN.md §11). Mutually
-	// exclusive with WAL durability (OpenDir) and snapshot Save.
-	Backend string
-	// BackendPath is the btree file location; empty means a temp file
-	// that is removed on Close.
-	BackendPath string
-	// BackendCacheSlots caps the btree page cache (0 = default 256
-	// pages of 4 KiB).
-	BackendCacheSlots int
 }
 
 func (c Config) mode() ordb.Mode {
@@ -164,9 +158,6 @@ type Store struct {
 	// atomic pointer because lock-free readers (STATS, ReadView) can
 	// race with Close, which detaches it; load it once per operation.
 	wal atomic.Pointer[walState]
-	// backend, when non-nil, is the attached on-disk B-tree row store
-	// (Config.Backend "btree"; see backend.go).
-	backend *backendState
 	// ingest accumulates bulk-ingest counters for STATS (see bulk.go).
 	ingest ingestCounters
 }
@@ -180,7 +171,7 @@ func Open(dtdText, root string, cfg Config) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	return openDTD(d, root, cfg)
+	return openDTDOn(nil, d, root, cfg)
 }
 
 // OpenXSD analyzes an XML Schema document instead of a DTD — the paper's
@@ -201,7 +192,7 @@ func OpenXSD(xsdText string, cfg Config) (*Store, error) {
 		hints[k] = v
 	}
 	cfg.TypeHints = hints
-	return openDTD(schema.DTD, schema.Root, cfg)
+	return openDTDOn(nil, schema.DTD, schema.Root, cfg)
 }
 
 // OpenDocument opens a store from a document that carries its own DOCTYPE
@@ -228,7 +219,7 @@ func OpenDocument(xmlText, docName string, cfg Config) (*Store, int, error) {
 		}
 		cfg.IDRefTargets = merged
 	}
-	s, err := openDTD(res.DTD, res.Doc.Root().Name, cfg)
+	s, err := openDTDOn(nil, res.DTD, res.Doc.Root().Name, cfg)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -253,30 +244,7 @@ func OpenShared(base *Store, dtdText, root string, cfg Config) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	s, err := openDTDOn(base.Engine, d, root, cfg)
-	if err != nil {
-		return nil, err
-	}
-	// A shared store inherits the base store's backend: the engine is
-	// one database, so the new schema's tables spill to the same tree.
-	if base.backend != nil {
-		s.backend = base.backend
-		if err := s.backend.attachTables(s.Engine.DB()); err != nil {
-			return nil, err
-		}
-	}
-	return s, nil
-}
-
-func openDTD(d *dtd.DTD, root string, cfg Config) (*Store, error) {
-	s, err := openDTDOn(nil, d, root, cfg)
-	if err != nil {
-		return nil, err
-	}
-	if err := s.attachBackend(); err != nil {
-		return nil, err
-	}
-	return s, nil
+	return openDTDOn(base.Engine, d, root, cfg)
 }
 
 func openDTDOn(en *sql.Engine, d *dtd.DTD, root string, cfg Config) (*Store, error) {
