@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"xmlordb/internal/ordb"
@@ -116,6 +117,117 @@ func compatObserve(t *testing.T, s *Store) compatState {
 		t.Fatal(err)
 	}
 	return st
+}
+
+// testdata/compat/refindex holds a StrategyRef directory written by
+// writeRefIndexDir at the last commit whose REF columns had no automatic
+// index. Its WAL tail holds a CREATE INDEX on a REF column, which that
+// code accepted and logged as SQL. The column now carries an automatic
+// index; on replay the explicit index replaces it.
+
+const refIndexStmt = `CREATE INDEX IX_StudentParent ON TabStudent (attrParentUniversity)`
+
+// writeRefIndexDir writes two loads and a checkpoint, then a WAL tail of
+// refIndexStmt and one more load, and returns the store still open.
+func writeRefIndexDir(t *testing.T, dir string) *Store {
+	t.Helper()
+	s, err := OpenDir(dir, workload.UniversityDTD, "University", Config{Strategy: StrategyRef}, DurableOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	load := func(i int) {
+		if _, err := s.LoadXML(compatDoc(i), fmt.Sprintf("compat-%d", i)); err != nil {
+			t.Fatalf("load %d: %v", i, err)
+		}
+	}
+	load(0)
+	load(1)
+	if err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Exec(refIndexStmt); err != nil {
+		t.Fatal(err)
+	}
+	load(2)
+	return s
+}
+
+// refIndexObserve renders every table's indexes, the plan of a join on
+// the REF column and the retrieval hash of every document.
+func refIndexObserve(t *testing.T, s *Store) string {
+	t.Helper()
+	var b strings.Builder
+	for _, name := range s.DB().TableNames() {
+		tab, err := s.DB().Table(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(&b, "%s %v\n", name, tab.Indexes())
+	}
+	rows, err := s.Query(`EXPLAIN SELECT s.attrLName FROM TabUniversityDoc d, TabStudent s
+		WHERE d.DocID = 1 AND s.attrParentUniversity = d.attrUniversity`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fmt.Fprintf(&b, "%v\n", rows.Data)
+	for id := 1; id <= 3; id++ {
+		xml, err := s.RetrieveXML(id)
+		if err != nil {
+			t.Fatalf("retrieve %d: %v", id, err)
+		}
+		fmt.Fprintf(&b, "doc %d %x\n", id, sha256.Sum256([]byte(xml)))
+	}
+	return b.String()
+}
+
+// TestCompatCreateIndexOnRefColumnRecovers: a log written before REF
+// columns were indexed automatically, holding a CREATE INDEX on one,
+// still replays. The recovered store lists the same indexes, plans the
+// same probe and retrieves the same documents as the live store that
+// wrote such a log with this code, before and after a checkpoint.
+func TestCompatCreateIndexOnRefColumnRecovers(t *testing.T) {
+	fresh := filepath.Join(t.TempDir(), "fresh")
+	s := writeRefIndexDir(t, fresh)
+	live := refIndexObserve(t, s)
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{
+		"TabStudent [{IX_TabStudent_IDStudent IDStudent} {IX_StudentParent attrParentUniversity}]",
+		"IndexProbe TabStudent AS s (attrParentUniversity = d.attrUniversity)",
+	} {
+		if !strings.Contains(live, want) {
+			t.Fatalf("live store lacks %q:\n%s", want, live)
+		}
+	}
+	for _, origin := range []string{"fixture", "fresh"} {
+		t.Run(origin, func(t *testing.T) {
+			dir := filepath.Join(t.TempDir(), "d")
+			if origin == "fixture" {
+				copyDir(t, dir, "testdata/compat/refindex")
+			} else {
+				copyDir(t, dir, fresh)
+			}
+			for _, step := range []string{"recover", "checkpoint + reopen"} {
+				s, err := LoadStoreDir(dir, DurableOptions{})
+				if err != nil {
+					t.Fatalf("%s: %v", step, err)
+				}
+				if ws, _ := s.WALStats(); (ws.Replayed > 0) != (step == "recover") {
+					t.Fatalf("%s replayed %d records", step, ws.Replayed)
+				}
+				if got := refIndexObserve(t, s); got != live {
+					t.Errorf("%s:\n%s\nlive:\n%s", step, got, live)
+				}
+				if err := s.Checkpoint(); err != nil {
+					t.Fatal(err)
+				}
+				if err := s.Close(); err != nil {
+					t.Fatal(err)
+				}
+			}
+		})
+	}
 }
 
 func copyDir(t *testing.T, dst, src string) {

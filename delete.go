@@ -7,6 +7,7 @@ import (
 
 	"xmlordb/internal/mapping"
 	"xmlordb/internal/ordb"
+	"xmlordb/internal/retrieval"
 )
 
 // sortedRefs returns the set's members ordered by table name then OID.
@@ -47,29 +48,24 @@ func (s *Store) deleteDocument(docID int) error {
 	if err != nil {
 		return err
 	}
-	var rowVals []ordb.Value
-	rootTab.Scan(func(r *ordb.Row) bool {
-		if n, ok := r.Vals[0].(ordb.Num); ok && int(n) == docID {
-			rowVals = r.Vals
-			return false
-		}
-		return true
-	})
+	rowVals := retrieval.DocRow(rootTab, docID)
 	if rowVals == nil {
 		return fmt.Errorf("xmlordb: document %d not found in %s", docID, s.Schema.RootTable)
 	}
-	// Collect every row object belonging to the document.
+	// Collect every row object belonging to the document: the REFs of the
+	// root row, then, wave by wave, the REFs inside each collected row and
+	// the child-table rows pointing back at it (StrategyRef back-pointers).
+	// Each REF is expanded exactly once, and every wave is walked in sorted
+	// order so the deref (and therefore fault-injection) sequence is
+	// deterministic across runs.
 	refs := map[ordb.Ref]bool{}
 	for _, v := range rowVals[1:] {
 		s.collectRefs(v, refs)
 	}
-	// Expand through child tables (StrategyRef back-pointers) until the
-	// set is closed. Each pass walks a sorted snapshot so the deref (and
-	// therefore fault-injection) sequence is deterministic across runs.
-	for {
-		before := len(refs)
-		for _, ref := range sortedRefs(refs) {
-			if err := s.collectChildTableRefs(ref, refs); err != nil {
+	for wave := sortedRefs(refs); len(wave) > 0; {
+		found := map[ordb.Ref]bool{}
+		for _, ref := range wave {
+			if err := s.collectChildTableRefs(ref, found); err != nil {
 				return err
 			}
 			obj, err := s.Engine.DB().Deref(ref)
@@ -82,12 +78,17 @@ func (s *Store) deleteDocument(docID int) error {
 				return err
 			}
 			for _, v := range obj.Attrs {
-				s.collectRefs(v, refs)
+				s.collectRefs(v, found)
 			}
 		}
-		if len(refs) == before {
-			break
+		for ref := range found {
+			if refs[ref] {
+				delete(found, ref) // expanded already
+			} else {
+				refs[ref] = true
+			}
 		}
+		wave = sortedRefs(found)
 	}
 	// Delete the collected rows per table, in table-name order (again for
 	// a deterministic delete/fault sequence).
@@ -152,35 +153,34 @@ func (s *Store) collectRefs(v ordb.Value, out map[ordb.Ref]bool) {
 	}
 }
 
-// collectChildTableRefs finds rows of child tables whose parent REF
+// collectChildTableRefs adds the rows of child tables whose parent REF
 // points at ref (the Section 4.2 variant, where the parent has no column
-// for the relationship).
+// for the relationship), found by probing the index every REF column
+// carries.
 func (s *Store) collectChildTableRefs(ref ordb.Ref, out map[ordb.Ref]bool) error {
 	for _, m := range s.Schema.Elems {
 		if m.ObjectTable == "" {
 			continue
 		}
-		var parentIdxs []int
-		for i, f := range m.Fields {
-			if f.Kind == mapping.FieldParentRef {
-				parentIdxs = append(parentIdxs, i)
+		for _, f := range m.Fields {
+			if f.Kind != mapping.FieldParentRef {
+				continue
+			}
+			if pm := s.Schema.Elems[f.RefTarget]; pm == nil || pm.ObjectTable != ref.Table {
+				continue
+			}
+			tab, err := s.Engine.DB().Table(m.ObjectTable)
+			if err != nil {
+				return err
+			}
+			rows, ok := tab.ProbeEqual(f.DBName, ref)
+			if !ok {
+				return fmt.Errorf("xmlordb: %s.%s has no index to find the children of %s by", tab.Name, f.DBName, ref.Table)
+			}
+			for _, r := range rows {
+				out[ordb.Ref{Table: m.ObjectTable, OID: r.OID}] = true
 			}
 		}
-		if len(parentIdxs) == 0 {
-			continue
-		}
-		tab, err := s.Engine.DB().Table(m.ObjectTable)
-		if err != nil {
-			return err
-		}
-		tab.Scan(func(r *ordb.Row) bool {
-			for _, idx := range parentIdxs {
-				if pr, ok := r.Vals[idx].(ordb.Ref); ok && pr == ref {
-					out[ordb.Ref{Table: m.ObjectTable, OID: r.OID}] = true
-				}
-			}
-			return true
-		})
 	}
 	return nil
 }

@@ -1,6 +1,7 @@
 package xmlordb
 
 import (
+	"fmt"
 	"testing"
 
 	"xmlordb/internal/workload"
@@ -102,5 +103,59 @@ func TestDeleteDocumentRecursive(t *testing.T) {
 	}
 	if parts.RowCount() != 0 {
 		t.Errorf("parts after delete = %d, want 0", parts.RowCount())
+	}
+}
+
+// TestRefRetrieveAndDeleteScanIndependentOfStoreSize: under the Oracle 8
+// REF mapping the engine rows one Retrieve and one DeleteDocument read do
+// not depend on how many documents the store holds — the same count with
+// 50 and with 2 000 stored — because children are found by probing the
+// index on their parent REF, not by scanning the child tables. A retrieve
+// on a published version (ReadView) probes the same indexes and reads
+// exactly as many rows. The meta-database is off: its TabMetadata lookup
+// is a scan of its own, outside this mapping.
+func TestRefRetrieveAndDeleteScanIndependentOfStoreSize(t *testing.T) {
+	s, err := Open(workload.UniversityDTD, "University", Config{Strategy: StrategyRef, DisableMetadata: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	filler := workload.University(workload.UniversityParams{
+		Students: 2, CoursesPerStudent: 1, ProfsPerCourse: 1, SubjectsPerProf: 1, Seed: 2,
+	})
+	probe := workload.University(workload.UniversityParams{
+		Students: 3, CoursesPerStudent: 2, ProfsPerCourse: 2, SubjectsPerProf: 1, Seed: 1,
+	})
+	scanned := func(op func() error) (rows, probes int64) {
+		t.Helper()
+		before := s.DB().Stats()
+		if err := op(); err != nil {
+			t.Fatal(err)
+		}
+		after := s.DB().Stats()
+		return after.RowsScanned - before.RowsScanned, after.IndexProbes - before.IndexProbes
+	}
+	var counts []string
+	stored := 0
+	for _, size := range []int{50, 2000} {
+		for ; stored < size; stored++ {
+			if _, err := s.Load(filler, "fill"); err != nil {
+				t.Fatal(err)
+			}
+		}
+		id, err := s.Load(probe, "probe")
+		if err != nil {
+			t.Fatal(err)
+		}
+		retrieve, _ := scanned(func() error { _, err := s.RetrieveXML(id); return err })
+		view, viewProbes := scanned(func() error { _, err := s.ReadView().RetrieveXML(id); return err })
+		del, _ := scanned(func() error { return s.DeleteDocument(id) })
+		if view != retrieve || viewProbes == 0 {
+			t.Errorf("%d stored: ReadView retrieve read %d rows with %d probes, live retrieve %d rows", size, view, viewProbes, retrieve)
+		}
+		counts = append(counts, fmt.Sprintf("retrieve %d rows, delete %d rows", retrieve, del))
+	}
+	t.Logf("%v", counts)
+	if counts[0] != counts[1] || counts[0] == "retrieve 0 rows, delete 0 rows" {
+		t.Errorf("with 50 documents stored: %s; with 2000: %s", counts[0], counts[1])
 	}
 }

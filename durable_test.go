@@ -754,3 +754,71 @@ func TestSharedMetadataSurvivesCheckpoint(t *testing.T) {
 		}
 	}
 }
+
+// TestCheckpointKeepsIndexes: CREATE INDEX and DROP INDEX are logged as
+// SQL, and the log before a checkpoint is pruned, so the checkpoint's
+// snapshot must carry them. Live and recovered stores list the same
+// indexes and plan the same queries; the document whose DocID index was
+// dropped still retrieves and deletes.
+func TestCheckpointKeepsIndexes(t *testing.T) {
+	dir := t.TempDir()
+	s := openDurT(t, dir, DurableOptions{})
+	id, err := s.LoadXML(uniDoc, "u1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, stmt := range []string{
+		`CREATE INDEX IX_B ON TabUniversity (attrStudyCourse)`,
+		`DROP INDEX IX_TabUniversity_DocID`,
+	} {
+		if _, err := s.Exec(stmt); err != nil {
+			t.Fatalf("%s: %v", stmt, err)
+		}
+	}
+	observe := func(s *Store) string {
+		var b strings.Builder
+		for _, name := range s.DB().TableNames() {
+			tab, err := s.DB().Table(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fmt.Fprintf(&b, "%s %v\n", name, tab.Indexes())
+		}
+		for _, q := range []string{
+			`EXPLAIN SELECT u.DocID FROM TabUniversity u WHERE u.attrStudyCourse = 'Math'`,
+			`EXPLAIN SELECT u.attrStudyCourse FROM TabUniversity u WHERE u.DocID = 1`,
+		} {
+			rows, err := s.Query(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fmt.Fprintf(&b, "%s\n%v\n", q, rows.Data)
+		}
+		return b.String()
+	}
+	live := observe(s)
+	if !strings.Contains(live, "TabUniversity [{IX_B attrStudyCourse}]") {
+		t.Fatalf("live indexes:\n%s", live)
+	}
+	if err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	s.Close()
+	s2, err := LoadStoreDir(dir, DurableOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	if st, _ := s2.WALStats(); st.Replayed != 0 {
+		t.Fatalf("replayed %d records after checkpoint, want 0", st.Replayed)
+	}
+	if got := observe(s2); got != live {
+		t.Errorf("recovered:\n%s\nlive:\n%s", got, live)
+	}
+	if _, err := s2.RetrieveXML(id); err != nil {
+		t.Fatal(err)
+	}
+	if err := s2.DeleteDocument(id); err != nil {
+		t.Fatal(err)
+	}
+}

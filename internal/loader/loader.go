@@ -42,6 +42,46 @@ type Loader struct {
 	// (recursion, ID targets, StrategyRef): shredding then interleaves
 	// with inserts and cannot run off the engine (see Prepare).
 	refRows bool
+	// genIDs shares the generated identifier values across documents.
+	genIDs genIDCache
+}
+
+// genIDCache holds the boxed FieldGenID values ("Student#3"). They are
+// numbered per document, so every document repeats the values of the
+// ones before it; sharing one immutable box per value keeps the store
+// from holding a copy per row. The cache is bounded, and safe for
+// loaders that shred concurrently.
+type genIDCache struct {
+	mu sync.RWMutex
+	m  map[genIDKey]ordb.Value
+}
+
+type genIDKey struct {
+	elem string
+	seq  int
+}
+
+// genIDCacheMax bounds the cache; values beyond it are boxed per row.
+const genIDCacheMax = 4096
+
+func (c *genIDCache) value(elem string, seq int) ordb.Value {
+	k := genIDKey{elem, seq}
+	c.mu.RLock()
+	v, ok := c.m[k]
+	c.mu.RUnlock()
+	if ok {
+		return v
+	}
+	v = ordb.Str(elem + "#" + strconv.Itoa(seq))
+	c.mu.Lock()
+	if c.m == nil {
+		c.m = map[genIDKey]ordb.Value{}
+	}
+	if len(c.m) < genIDCacheMax {
+		c.m[k] = v
+	}
+	c.mu.Unlock()
+	return v
 }
 
 // New returns a loader for the schema over the engine. The schema's DDL
@@ -306,7 +346,7 @@ func textContent(e *xmldom.Element) string {
 // holds the index path to the enclosing value slice; field i's value
 // lives at slot start+i within it. The scratch is pushed and popped per
 // field — only pendingRef retains a path, and it clones first.
-func (st *load) buildVals(el *xmldom.Element, m *mapping.ElemMapping, parent *ordb.Ref, start int) ([]ordb.Value, error) {
+func (st *load) buildVals(el *xmldom.Element, m *mapping.ElemMapping, parent ordb.Value, start int) ([]ordb.Value, error) {
 	out := make([]ordb.Value, 0, len(m.Fields))
 	for i, f := range m.Fields {
 		st.path = append(st.path, start+i)
@@ -322,7 +362,7 @@ func (st *load) buildVals(el *xmldom.Element, m *mapping.ElemMapping, parent *or
 
 // fieldValue computes one field's value; st.path addresses the slot the
 // value will occupy within the enclosing row.
-func (st *load) fieldValue(el *xmldom.Element, m *mapping.ElemMapping, f mapping.Field, parent *ordb.Ref) (ordb.Value, error) {
+func (st *load) fieldValue(el *xmldom.Element, m *mapping.ElemMapping, f mapping.Field, parent ordb.Value) (ordb.Value, error) {
 	switch f.Kind {
 	case mapping.FieldDocID:
 		if st.recordDocID {
@@ -331,10 +371,10 @@ func (st *load) fieldValue(el *xmldom.Element, m *mapping.ElemMapping, f mapping
 		return ordb.Num(st.docID), nil
 	case mapping.FieldGenID:
 		st.genSeq++
-		return ordb.Str(el.Name + "#" + strconv.Itoa(st.genSeq)), nil
+		return st.genIDs.value(el.Name, st.genSeq), nil
 	case mapping.FieldParentRef:
 		if parent != nil && parentMatches(f.RefTarget, el) {
-			return *parent, nil
+			return parent, nil
 		}
 		return ordb.Null{}, nil
 	case mapping.FieldAttrList:
@@ -499,7 +539,7 @@ func (st *load) refChild(el *xmldom.Element, f mapping.Field) (ordb.Value, error
 // insertByRef inserts the element (and recursively its subtree) into its
 // object table and returns the REF to the new row. parent is the REF of
 // the containing element's row for StrategyRef back-pointers.
-func (st *load) insertByRef(el *xmldom.Element, parent *ordb.Ref) (ordb.Value, error) {
+func (st *load) insertByRef(el *xmldom.Element, parent ordb.Value) (ordb.Value, error) {
 	m := st.sch.Elems[el.Name]
 	if m == nil || m.ObjectTable == "" {
 		return nil, fmt.Errorf("loader: element %s has no object table", el.Name)
@@ -526,6 +566,8 @@ func (st *load) insertByRef(el *xmldom.Element, parent *ordb.Ref) (ordb.Value, e
 		return nil, err
 	}
 	ref := ordb.Ref{Table: m.ObjectTable, OID: oid}
+	// Boxed once: the rows of all its children store this same value.
+	var refVal ordb.Value = ref
 	if m.HasIDAttr != "" {
 		if v, ok := el.Attr(m.HasIDAttr); ok {
 			st.ids[v] = ref
@@ -549,13 +591,13 @@ func (st *load) insertByRef(el *xmldom.Element, parent *ordb.Ref) (ordb.Value, e
 				if !ok || ce.Name != refd.Name {
 					continue
 				}
-				if _, err := st.insertByRef(ce, &ref); err != nil {
+				if _, err := st.insertByRef(ce, refVal); err != nil {
 					return nil, err
 				}
 			}
 		}
 	}
-	return ref, nil
+	return refVal, nil
 }
 
 // childLivesInChildTable reports the Section 4.2 variant: the child's

@@ -2,7 +2,9 @@ package loader
 
 import (
 	"errors"
+	"strconv"
 	"strings"
+	"sync"
 	"testing"
 
 	"xmlordb/internal/dtd"
@@ -520,5 +522,33 @@ func TestPrepareShredsOffEngineUnlessRefRows(t *testing.T) {
 				t.Fatalf("LoadPrepared: id=%d err=%v", id, err)
 			}
 		})
+	}
+}
+
+// TestGenIDCacheConcurrentAndBounded: the generated identifier values
+// come from one cache that concurrent shredders may share, and the cache
+// stops growing at its bound — values beyond it are still produced, just
+// not kept.
+func TestGenIDCacheConcurrentAndBounded(t *testing.T) {
+	var c genIDCache
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for seq := 1; seq <= genIDCacheMax; seq++ {
+				if v := c.value("Student", seq); v != ordb.Str("Student#"+strconv.Itoa(seq)) {
+					t.Errorf("value(Student, %d) = %v", seq, v)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if v := c.value("Course", 1); v != ordb.Str("Course#1") {
+		t.Errorf("value past the bound = %v", v)
+	}
+	if len(c.m) != genIDCacheMax {
+		t.Errorf("cache holds %d values, bound %d", len(c.m), genIDCacheMax)
 	}
 }

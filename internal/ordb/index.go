@@ -2,6 +2,7 @@ package ordb
 
 import (
 	"fmt"
+	"sort"
 	"strings"
 	"time"
 )
@@ -11,8 +12,8 @@ import (
 // structures here extend the same idea to scalar columns so that
 // equi-joins and WHERE col = const probe a persistent hash instead of
 // rebuilding one per query. Indexes are created explicitly with CREATE
-// INDEX and automatically on PRIMARY KEY and ID-named columns, and are
-// maintained incrementally by every row mutation — including the undo
+// INDEX and automatically on PRIMARY KEY, REF and ID-named columns, and
+// are maintained incrementally by every row mutation — including the undo
 // paths of the transaction layer, so a rollback leaves probes exactly as
 // they were before the operation.
 
@@ -57,6 +58,9 @@ func makeIndexKey(v Value) (indexKey, bool) {
 // versions capture it by struct copy. Buckets obey the shared-array
 // discipline of version.go: appends are safe (they write at or beyond
 // every published bucket length), removal always copies the bucket.
+// Object-table buckets are kept in OID order, which is the order a scan
+// visits the rows in (see bucketAdd), so a probe and a filter scan return
+// the same rows in the same order.
 type Index struct {
 	Name string
 	Col  string
@@ -79,7 +83,10 @@ func indexableType(t Type) bool {
 
 // CreateIndex builds a persistent equality index named name over column
 // col, populated from the existing rows. One index per column; index
-// names are unique within the database.
+// names are unique within the database. An explicit index replaces the
+// column's automatic one, as DROP INDEX followed by CREATE INDEX would:
+// a statement that was valid before the automatic rule covered the
+// column stays valid, so logs and snapshots written then still replay.
 func (t *Table) CreateIndex(name, col string) (*Index, error) {
 	if err := t.db.writable(); err != nil {
 		return nil, err
@@ -97,7 +104,12 @@ func (t *Table) CreateIndex(name, col string) (*Index, error) {
 	}
 	t.db.mu.Lock()
 	defer t.db.mu.Unlock()
-	for _, ix := range t.indexes {
+	replaced := -1
+	for i, ix := range t.indexes {
+		if ix.colIdx == ci && autoIndexColumn(t.Cols[ci]) && strings.EqualFold(ix.Name, autoIndexName(t.Name, ix.Col)) {
+			replaced = i
+			continue
+		}
 		if strings.EqualFold(ix.Name, name) {
 			return nil, fmt.Errorf("ordb: index %q: %w", name, ErrExists)
 		}
@@ -107,6 +119,9 @@ func (t *Table) CreateIndex(name, col string) (*Index, error) {
 		}
 	}
 	for _, other := range t.db.tables {
+		if other == t {
+			continue
+		}
 		for _, ix := range other.indexes {
 			if strings.EqualFold(ix.Name, name) {
 				return nil, fmt.Errorf("ordb: index %q: %w", name, ErrExists)
@@ -115,6 +130,9 @@ func (t *Table) CreateIndex(name, col string) (*Index, error) {
 	}
 	ix := &Index{Name: name, Col: t.Cols[ci].Name, colIdx: ci}
 	ix.materializeLocked(t)
+	if replaced >= 0 {
+		t.indexes = withoutIndex(t.indexes, replaced)
+	}
 	t.indexes = append(t.indexes, ix)
 	t.markDirtyLocked()
 	t.db.maybePublishLocked()
@@ -128,7 +146,7 @@ func (ix *Index) materializeLocked(t *Table) {
 	for _, r := range t.rows {
 		if k, ok := makeIndexKey(r.Vals[ix.colIdx]); ok {
 			bucket, _ := ix.rows.get(k)
-			ix.rows = ix.rows.set(k, append(bucket, r))
+			ix.rows = ix.rows.set(t.db.epoch, k, bucketAdd(bucket, r))
 		}
 	}
 	ix.built = true
@@ -144,10 +162,7 @@ func (db *DB) DropIndex(name string) error {
 	for _, t := range db.tables {
 		for i, ix := range t.indexes {
 			if strings.EqualFold(ix.Name, name) {
-				kept := make([]*Index, 0, len(t.indexes)-1)
-				kept = append(kept, t.indexes[:i]...)
-				kept = append(kept, t.indexes[i+1:]...)
-				t.indexes = kept
+				t.indexes = withoutIndex(t.indexes, i)
 				t.markDirtyLocked()
 				db.maybePublishLocked()
 				return nil
@@ -155,6 +170,13 @@ func (db *DB) DropIndex(name string) error {
 		}
 	}
 	return fmt.Errorf("ordb: index %q: %w", name, ErrNotFound)
+}
+
+// withoutIndex returns list without entry i, in a fresh backing array.
+func withoutIndex(list []*Index, i int) []*Index {
+	kept := make([]*Index, 0, len(list)-1)
+	kept = append(kept, list[:i]...)
+	return append(kept, list[i+1:]...)
 }
 
 // EqIndex returns the equality index over the named column, or nil.
@@ -169,16 +191,36 @@ func (t *Table) EqIndex(col string) *Index {
 	return nil
 }
 
-// IndexNames lists the table's index names in creation order.
-func (t *Table) IndexNames() []string {
+// IndexDef names one equality index and the column it covers.
+type IndexDef struct {
+	Name, Col string
+}
+
+// Indexes lists the table's indexes in creation order.
+func (t *Table) Indexes() []IndexDef {
 	t.db.rlock()
 	defer t.db.runlock()
-	out := make([]string, 0, len(t.indexes))
-	for _, ix := range t.indexes {
-		out = append(out, ix.Name)
+	out := make([]IndexDef, len(t.indexes))
+	for i, ix := range t.indexes {
+		out[i] = IndexDef{Name: ix.Name, Col: ix.Col}
 	}
 	return out
 }
+
+// AutoIndexes lists the indexes CreateTable gives a table with these
+// columns, in the order it creates them, whether or not they still exist.
+func (t *Table) AutoIndexes() []IndexDef {
+	var out []IndexDef
+	for _, c := range t.Cols {
+		if autoIndexColumn(c) {
+			out = append(out, IndexDef{Name: autoIndexName(t.Name, c.Name), Col: c.Name})
+		}
+	}
+	return out
+}
+
+// autoIndexName is the name of the automatic index on a column.
+func autoIndexName(table, col string) string { return "IX_" + table + "_" + col }
 
 // ProbeEqual returns the rows whose indexed column equals v under SQL
 // `=` semantics (CHAR padding insignificant, NULL matches nothing). The
@@ -292,11 +334,29 @@ func (t *Table) indexInsertLocked(r *Row) {
 		}
 		if k, ok := makeIndexKey(r.Vals[ix.colIdx]); ok {
 			bucket, _ := ix.rows.get(k)
-			// Appending is safe against published versions: the write
-			// lands at an offset no published bucket header reaches.
-			ix.rows = ix.rows.set(k, append(bucket, r))
+			ix.rows = ix.rows.set(t.db.epoch, k, bucketAdd(bucket, r))
 		}
 	}
+}
+
+// bucketAdd returns bucket with r added, keeping object-table buckets in
+// OID order — insertion order, and so the order a scan visits the rows
+// in. A row newer than every row in the bucket (always so for a plain
+// insert, and for every relational row, whose OID is 0) is appended,
+// which is safe against published versions: the write lands at an
+// offset no published bucket header reaches. An older row — re-added by
+// an undo, a copy-on-write replace or a rekey — is copy-inserted at its
+// place in a fresh backing array.
+func bucketAdd(bucket []*Row, r *Row) []*Row {
+	n := len(bucket)
+	if n == 0 || bucket[n-1].OID <= r.OID {
+		return append(bucket, r)
+	}
+	i := sort.Search(n, func(i int) bool { return bucket[i].OID > r.OID })
+	out := make([]*Row, 0, n+1)
+	out = append(out, bucket[:i]...)
+	out = append(out, r)
+	return append(out, bucket[i:]...)
 }
 
 // bucketRemove returns bucket without r, always copying to a fresh
@@ -326,9 +386,9 @@ func (t *Table) indexRemoveLocked(r *Row) {
 		bucket, _ := ix.rows.get(k)
 		bucket = bucketRemove(bucket, r)
 		if len(bucket) == 0 {
-			ix.rows = ix.rows.del(k)
+			ix.rows = ix.rows.del(t.db.epoch, k)
 		} else {
-			ix.rows = ix.rows.set(k, bucket)
+			ix.rows = ix.rows.set(t.db.epoch, k, bucket)
 		}
 	}
 }
@@ -351,27 +411,29 @@ func (t *Table) indexRekeyLocked(r *Row, oldVals, newVals []Value) {
 			bucket, _ := ix.rows.get(oldKey)
 			bucket = bucketRemove(bucket, r)
 			if len(bucket) == 0 {
-				ix.rows = ix.rows.del(oldKey)
+				ix.rows = ix.rows.del(t.db.epoch, oldKey)
 			} else {
-				ix.rows = ix.rows.set(oldKey, bucket)
+				ix.rows = ix.rows.set(t.db.epoch, oldKey, bucket)
 			}
 		}
 		if hasNew {
 			bucket, _ := ix.rows.get(newKey)
-			ix.rows = ix.rows.set(newKey, append(bucket, r))
+			ix.rows = ix.rows.set(t.db.epoch, newKey, bucketAdd(bucket, r))
 		}
 	}
 }
 
 // autoIndexColumn reports whether a column should receive an automatic
-// equality index at table creation: primary-key columns and columns
-// following the generated-identifier naming convention (an ID prefix or
-// suffix — DocID, NodeID, IDStudent, IDParent, ...).
+// equality index at table creation: primary-key columns, REF columns (a
+// child row's REF to its parent is how the Oracle 8 mapping finds a
+// parent's children) and columns following the generated-identifier
+// naming convention (an ID prefix or suffix — DocID, NodeID, IDStudent,
+// IDParent, ...).
 func autoIndexColumn(c Column) bool {
 	if !indexableType(c.Type) {
 		return false
 	}
-	if c.PrimaryKey {
+	if c.PrimaryKey || c.Type.Kind() == KindRef {
 		return true
 	}
 	u := strings.ToUpper(c.Name)
@@ -384,20 +446,19 @@ func autoIndexColumn(c Column) bool {
 //
 // A single-column primary key gets a materialized index immediately: the
 // per-insert duplicate check probes it, so it earns its maintenance cost
-// from row one. All other auto indexes stay unmaterialized until the
-// first query probes them, keeping insert-heavy loads free of index
-// upkeep they may never need.
+// from row one. So does a REF column: every retrieval and delete of a
+// REF-mapped document probes it for the element's children, and a frozen
+// version can only probe an index that was built before it was published.
+// All other auto indexes stay unmaterialized until the first query probes
+// them, keeping insert-heavy loads free of index upkeep they may never
+// need.
 func (t *Table) createAutoIndexes() {
 	for i, c := range t.Cols {
 		if !autoIndexColumn(c) {
 			continue
 		}
-		ix := &Index{
-			Name:   fmt.Sprintf("IX_%s_%s", t.Name, c.Name),
-			Col:    c.Name,
-			colIdx: i,
-		}
-		if len(t.pkCols) == 1 && t.pkCols[0] == i {
+		ix := &Index{Name: autoIndexName(t.Name, c.Name), Col: c.Name, colIdx: i}
+		if (len(t.pkCols) == 1 && t.pkCols[0] == i) || c.Type.Kind() == KindRef {
 			ix.rows = newPmap[indexKey, []*Row](hashIndexKey)
 			ix.built = true
 		}

@@ -2,6 +2,7 @@ package ordb
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 )
 
@@ -69,6 +70,10 @@ func TestCreateIndexValidation(t *testing.T) {
 
 func TestAutoIndexCreation(t *testing.T) {
 	db := New(ModeOracle9)
+	ot, err := db.CreateObjectType("TyTarget", []AttrDef{{Name: "V", Type: v4000()}})
+	if err != nil {
+		t.Fatal(err)
+	}
 	tab, err := db.CreateTable(TableSpec{
 		Name: "TabDoc",
 		Columns: []Column{
@@ -76,23 +81,86 @@ func TestAutoIndexCreation(t *testing.T) {
 			{Name: "IDParent", Type: IntegerType{}},
 			{Name: "Body", Type: v4000()},
 			{Name: "Key", Type: v4000(), PrimaryKey: true},
+			{Name: "Owner", Type: &RefType{Target: ot}},
 		},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	names := tab.IndexNames()
-	want := map[string]bool{"IX_TabDoc_DocID": true, "IX_TabDoc_IDParent": true, "IX_TabDoc_Key": true}
-	if len(names) != len(want) {
-		t.Fatalf("auto indexes = %v, want %v", names, want)
+	want := "[{IX_TabDoc_DocID DocID} {IX_TabDoc_IDParent IDParent} {IX_TabDoc_Key Key} {IX_TabDoc_Owner Owner}]"
+	if got := fmt.Sprint(tab.Indexes()); got != want {
+		t.Fatalf("auto indexes = %s, want %s", got, want)
 	}
-	for _, n := range names {
-		if !want[n] {
-			t.Errorf("unexpected auto index %q", n)
-		}
+	if got := fmt.Sprint(tab.AutoIndexes()); got != want {
+		t.Errorf("AutoIndexes = %s, want %s", got, want)
 	}
 	if tab.EqIndex("Body") != nil {
 		t.Error("non-ID scalar column got an auto index")
+	}
+	// The key and the REF indexes are built with the table; the others
+	// wait for their first probe.
+	for col, built := range map[string]bool{"DocID": false, "IDParent": false, "Key": true, "Owner": true} {
+		if ix := tab.EqIndex(col); ix.built != built {
+			t.Errorf("index on %s built at creation = %v, want %v", col, ix.built, built)
+		}
+	}
+}
+
+// TestExplicitIndexReplacesAutoIndex: CREATE INDEX on a column that only
+// carries its automatic index replaces it, as DROP INDEX then CREATE
+// INDEX would, so a statement written before the automatic rule covered
+// REF columns still runs. A second explicit index on the column is still
+// refused.
+func TestExplicitIndexReplacesAutoIndex(t *testing.T) {
+	db := New(ModeOracle9)
+	ot, err := db.CreateObjectType("TyTarget", []AttrDef{{Name: "V", Type: v4000()}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	target, err := db.CreateTable(TableSpec{Name: "TabTarget", OfType: "TyTarget"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	oid, err := target.Insert([]Value{Str("x")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tab, err := db.CreateTable(TableSpec{
+		Name: "TabDoc",
+		Columns: []Column{
+			{Name: "Owner", Type: &RefType{Target: ot}},
+			{Name: "DocID", Type: IntegerType{}},
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	owner := Ref{Table: "TabTarget", OID: oid}
+	for i := 0; i < 3; i++ {
+		if _, err := tab.Insert([]Value{owner, Num(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := tab.CreateIndex("IX_Owner", "Owner"); err != nil {
+		t.Fatalf("CREATE INDEX on an auto-indexed REF column: %v", err)
+	}
+	want := "[{IX_TabDoc_DocID DocID} {IX_Owner Owner}]"
+	if got := fmt.Sprint(tab.Indexes()); got != want {
+		t.Errorf("indexes = %s, want %s", got, want)
+	}
+	if rows, ok := tab.ProbeEqual("Owner", owner); !ok || len(rows) != 3 {
+		t.Errorf("probe through the replacing index: %d rows, ok=%v", len(rows), ok)
+	}
+	if _, err := tab.CreateIndex("IX_Owner2", "Owner"); !errors.Is(err, ErrExists) {
+		t.Errorf("second explicit index on the column: err = %v, want ErrExists", err)
+	}
+	// Naming the automatic index itself replaces it with an equal one.
+	if _, err := tab.CreateIndex("IX_TabDoc_DocID", "DocID"); err != nil {
+		t.Fatalf("CREATE INDEX under the automatic name: %v", err)
+	}
+	want = "[{IX_Owner Owner} {IX_TabDoc_DocID DocID}]"
+	if got := fmt.Sprint(tab.Indexes()); got != want {
+		t.Errorf("indexes = %s, want %s", got, want)
 	}
 }
 

@@ -5,11 +5,11 @@ import (
 	"math/bits"
 )
 
-// pmap is a persistent hash map: an immutable hash-array-mapped trie
-// (HAMT) with path-copying updates. set and del return a new map that
-// shares all unmodified structure with the receiver, so capturing a
-// snapshot of a map is a single struct copy — O(1) — no matter how many
-// entries it holds. That property is what lets a commit publish a frozen
+// pmap is a persistent hash map: a hash-array-mapped trie (HAMT) with
+// path-copying updates. set and del return a new map that shares all
+// unmodified structure with the receiver, so capturing a snapshot of a
+// map is a single struct copy — O(1) — no matter how many entries it
+// holds. That property is what lets a commit publish a frozen
 // version of every table's OID index and secondary indexes without
 // cloning them (see version.go): the live side keeps mutating its pmap
 // while published versions read theirs lock-free.
@@ -19,6 +19,15 @@ import (
 // 64-bit hashes collide chain off a single leaf. Because consecutive
 // chunks cover all 64 hash bits, two distinct hashes always separate at
 // some depth, so splitting terminates without a depth cap.
+//
+// Copying every node on the path of every update would make each row
+// insert allocate a few kilobytes of trie (a full node is 64 slots), most
+// of it garbage by the next insert. Updates therefore take the writer's
+// publish epoch as an edit token: a node stamped with the current epoch
+// was created after the last publish, so no published version can reach
+// it, and it is updated in place — the same rule by which a Row private
+// to the live side is fixed up in place (version.go). Only nodes a
+// published version may hold are copied, each at most once per epoch.
 //
 // The zero value is an empty map with no hash function; initialize with
 // newPmap before use.
@@ -35,8 +44,11 @@ const (
 
 // pnode is one interior trie node: bit i of bitmap is set when the child
 // for chunk value i exists, stored at slots[popcount(bitmap & (1<<i - 1))].
+// edit is the epoch the node was created in (0: never updated in place).
+// Every node owns its slots array; none is shared between nodes.
 type pnode[K comparable, V any] struct {
 	bitmap uint64
+	edit   uint64
 	slots  []pslot[K, V]
 }
 
@@ -93,16 +105,19 @@ func (m pmap[K, V]) get(k K) (V, bool) {
 	}
 }
 
-// set returns a map with k bound to v. The receiver is unchanged.
-func (m pmap[K, V]) set(k K, v V) pmap[K, V] {
+// set returns a map with k bound to v. Nodes stamped with edit are
+// updated in place, so the receiver must not be used afterwards unless
+// it was captured before epoch edit began; all others — and, with edit
+// 0, every node — are copied, leaving maps captured earlier unchanged.
+func (m pmap[K, V]) set(edit uint64, k K, v V) pmap[K, V] {
 	h := m.hash(k)
 	nl := &pleaf[K, V]{hash: h, key: k, val: v}
 	if m.root == nil {
 		bit := uint64(1) << (h & pmapMask)
-		root := &pnode[K, V]{bitmap: bit, slots: []pslot[K, V]{{leaf: nl}}}
+		root := &pnode[K, V]{bitmap: bit, edit: edit, slots: []pslot[K, V]{{leaf: nl}}}
 		return pmap[K, V]{root: root, n: 1, hash: m.hash}
 	}
-	root, added := psetRec(m.root, 0, nl)
+	root, added := psetRec(m.root, 0, nl, edit)
 	n := m.n
 	if added {
 		n++
@@ -110,7 +125,16 @@ func (m pmap[K, V]) set(k K, v V) pmap[K, V] {
 	return pmap[K, V]{root: root, n: n, hash: m.hash}
 }
 
-func psetRec[K comparable, V any](node *pnode[K, V], shift int, nl *pleaf[K, V]) (*pnode[K, V], bool) {
+// owned returns node itself when it may be updated in place under edit,
+// and otherwise a copy of it stamped with edit.
+func owned[K comparable, V any](node *pnode[K, V], edit uint64) *pnode[K, V] {
+	if edit != 0 && node.edit == edit {
+		return node
+	}
+	return &pnode[K, V]{bitmap: node.bitmap, edit: edit, slots: append([]pslot[K, V](nil), node.slots...)}
+}
+
+func psetRec[K comparable, V any](node *pnode[K, V], shift int, nl *pleaf[K, V], edit uint64) (*pnode[K, V], bool) {
 	bit := uint64(1) << ((nl.hash >> shift) & pmapMask)
 	idx := bits.OnesCount64(node.bitmap & (bit - 1))
 	if node.bitmap&bit == 0 {
@@ -118,14 +142,19 @@ func psetRec[K comparable, V any](node *pnode[K, V], shift int, nl *pleaf[K, V])
 		copy(slots, node.slots[:idx])
 		slots[idx] = pslot[K, V]{leaf: nl}
 		copy(slots[idx+1:], node.slots[idx:])
-		return &pnode[K, V]{bitmap: node.bitmap | bit, slots: slots}, true
+		if edit != 0 && node.edit == edit {
+			node.bitmap |= bit
+			node.slots = slots
+			return node, true
+		}
+		return &pnode[K, V]{bitmap: node.bitmap | bit, edit: edit, slots: slots}, true
 	}
 	s := node.slots[idx]
 	var ns pslot[K, V]
 	added := false
 	switch {
 	case s.child != nil:
-		child, a := psetRec(s.child, shift+pmapBits, nl)
+		child, a := psetRec(s.child, shift+pmapBits, nl, edit)
 		ns, added = pslot[K, V]{child: child}, a
 	case s.leaf.hash == nl.hash:
 		// Same full hash: rebuild the collision chain around the new
@@ -144,25 +173,26 @@ func psetRec[K comparable, V any](node *pnode[K, V], shift int, nl *pleaf[K, V])
 	default:
 		// Distinct hashes currently sharing a slot: push both down until
 		// their chunks differ.
-		ns, added = pslot[K, V]{child: psplit(s.leaf, nl, shift+pmapBits)}, true
+		ns, added = pslot[K, V]{child: psplit(s.leaf, nl, shift+pmapBits, edit)}, true
 	}
-	slots := append([]pslot[K, V](nil), node.slots...)
-	slots[idx] = ns
-	return &pnode[K, V]{bitmap: node.bitmap, slots: slots}, added
+	node = owned(node, edit)
+	node.slots[idx] = ns
+	return node, added
 }
 
 // psplit builds the minimal sub-trie separating an existing leaf chain
 // (whose entries share one hash) from a new leaf with a different hash.
-func psplit[K comparable, V any](old, nl *pleaf[K, V], shift int) *pnode[K, V] {
+func psplit[K comparable, V any](old, nl *pleaf[K, V], shift int, edit uint64) *pnode[K, V] {
 	ob := (old.hash >> shift) & pmapMask
 	nb := (nl.hash >> shift) & pmapMask
 	if ob == nb {
 		return &pnode[K, V]{
 			bitmap: 1 << ob,
-			slots:  []pslot[K, V]{{child: psplit(old, nl, shift+pmapBits)}},
+			edit:   edit,
+			slots:  []pslot[K, V]{{child: psplit(old, nl, shift+pmapBits, edit)}},
 		}
 	}
-	node := &pnode[K, V]{bitmap: 1<<ob | 1<<nb, slots: make([]pslot[K, V], 2)}
+	node := &pnode[K, V]{bitmap: 1<<ob | 1<<nb, edit: edit, slots: make([]pslot[K, V], 2)}
 	if ob < nb {
 		node.slots[0] = pslot[K, V]{leaf: old}
 		node.slots[1] = pslot[K, V]{leaf: nl}
@@ -173,23 +203,23 @@ func psplit[K comparable, V any](old, nl *pleaf[K, V], shift int) *pnode[K, V] {
 	return node
 }
 
-// del returns a map without k. The receiver is unchanged; deleting an
-// absent key returns the receiver as-is. Emptied nodes are kept (not
-// collapsed into their parents) — table workloads reuse key ranges, so
-// the skeleton is worth retaining.
-func (m pmap[K, V]) del(k K) pmap[K, V] {
+// del returns a map without k, updating nodes stamped with edit in place
+// as set does. Deleting an absent key returns the receiver as-is. Emptied
+// nodes are kept (not collapsed into their parents) — table workloads
+// reuse key ranges, so the skeleton is worth retaining.
+func (m pmap[K, V]) del(edit uint64, k K) pmap[K, V] {
 	if m.root == nil {
 		return m
 	}
 	h := m.hash(k)
-	root, removed := pdelRec(m.root, 0, h, k)
+	root, removed := pdelRec(m.root, 0, h, k, edit)
 	if !removed {
 		return m
 	}
 	return pmap[K, V]{root: root, n: m.n - 1, hash: m.hash}
 }
 
-func pdelRec[K comparable, V any](node *pnode[K, V], shift int, h uint64, k K) (*pnode[K, V], bool) {
+func pdelRec[K comparable, V any](node *pnode[K, V], shift int, h uint64, k K, edit uint64) (*pnode[K, V], bool) {
 	bit := uint64(1) << ((h >> shift) & pmapMask)
 	if node.bitmap&bit == 0 {
 		return node, false
@@ -198,7 +228,7 @@ func pdelRec[K comparable, V any](node *pnode[K, V], shift int, h uint64, k K) (
 	s := node.slots[idx]
 	var ns pslot[K, V]
 	if s.child != nil {
-		child, removed := pdelRec(s.child, shift+pmapBits, h, k)
+		child, removed := pdelRec(s.child, shift+pmapBits, h, k, edit)
 		if !removed {
 			return node, false
 		}
@@ -221,13 +251,18 @@ func pdelRec[K comparable, V any](node *pnode[K, V], shift int, h uint64, k K) (
 			slots := make([]pslot[K, V], len(node.slots)-1)
 			copy(slots, node.slots[:idx])
 			copy(slots[idx:], node.slots[idx+1:])
-			return &pnode[K, V]{bitmap: node.bitmap &^ bit, slots: slots}, true
+			if edit != 0 && node.edit == edit {
+				node.bitmap &^= bit
+				node.slots = slots
+				return node, true
+			}
+			return &pnode[K, V]{bitmap: node.bitmap &^ bit, edit: edit, slots: slots}, true
 		}
 		ns = pslot[K, V]{leaf: chain}
 	}
-	slots := append([]pslot[K, V](nil), node.slots...)
-	slots[idx] = ns
-	return &pnode[K, V]{bitmap: node.bitmap, slots: slots}, true
+	node = owned(node, edit)
+	node.slots[idx] = ns
+	return node, true
 }
 
 // each calls fn for every entry until fn returns false. Iteration order

@@ -13,7 +13,7 @@ func TestPmapSetGetDelete(t *testing.T) {
 	m := newPmap[OID, int](hashOID)
 	const n = 2000
 	for i := 1; i <= n; i++ {
-		m = m.set(OID(i), i*10)
+		m = m.set(0, OID(i), i*10)
 	}
 	if m.len() != n {
 		t.Fatalf("len = %d, want %d", m.len(), n)
@@ -28,7 +28,7 @@ func TestPmapSetGetDelete(t *testing.T) {
 		t.Fatal("get of absent key succeeded")
 	}
 	// Overwrite does not grow the map.
-	m = m.set(OID(7), 99)
+	m = m.set(0, OID(7), 99)
 	if m.len() != n {
 		t.Fatalf("len after overwrite = %d, want %d", m.len(), n)
 	}
@@ -37,7 +37,7 @@ func TestPmapSetGetDelete(t *testing.T) {
 	}
 	// Delete half; the rest survive.
 	for i := 1; i <= n; i += 2 {
-		m = m.del(OID(i))
+		m = m.del(0, OID(i))
 	}
 	if m.len() != n/2 {
 		t.Fatalf("len after deletes = %d, want %d", m.len(), n/2)
@@ -50,7 +50,7 @@ func TestPmapSetGetDelete(t *testing.T) {
 	}
 	// Deleting an absent key is a no-op returning the same map.
 	before := m.len()
-	m2 := m.del(OID(n + 5))
+	m2 := m.del(0, OID(n+5))
 	if m2.len() != before {
 		t.Fatalf("del of absent key changed len: %d -> %d", before, m2.len())
 	}
@@ -59,17 +59,17 @@ func TestPmapSetGetDelete(t *testing.T) {
 func TestPmapSnapshotIsolation(t *testing.T) {
 	m := newPmap[OID, int](hashOID)
 	for i := 1; i <= 100; i++ {
-		m = m.set(OID(i), i)
+		m = m.set(0, OID(i), i)
 	}
 	snap := m // O(1) capture
 	for i := 1; i <= 100; i++ {
 		if i%3 == 0 {
-			m = m.del(OID(i))
+			m = m.del(0, OID(i))
 		} else {
-			m = m.set(OID(i), -i)
+			m = m.set(0, OID(i), -i)
 		}
 	}
-	m = m.set(OID(500), 500)
+	m = m.set(0, OID(500), 500)
 	// The snapshot still sees the original bindings.
 	if snap.len() != 100 {
 		t.Fatalf("snapshot len = %d, want 100", snap.len())
@@ -89,7 +89,7 @@ func TestPmapCollisions(t *testing.T) {
 	m := newPmap[OID, string](badHash)
 	const n = 50
 	for i := 1; i <= n; i++ {
-		m = m.set(OID(i), fmt.Sprint(i))
+		m = m.set(0, OID(i), fmt.Sprint(i))
 	}
 	if m.len() != n {
 		t.Fatalf("len = %d, want %d", m.len(), n)
@@ -102,7 +102,7 @@ func TestPmapCollisions(t *testing.T) {
 	}
 	snap := m
 	for i := 1; i <= n; i++ {
-		m = m.del(OID(i))
+		m = m.del(0, OID(i))
 	}
 	if m.len() != 0 {
 		t.Fatalf("len after deleting all = %d", m.len())
@@ -128,12 +128,53 @@ func TestPmapIndexKeyHash(t *testing.T) {
 		{kind: 'r', num: 7, str: "TabStudent"},
 	}
 	for i, k := range keys {
-		m = m.set(k, i)
+		m = m.set(0, k, i)
 	}
 	for i, k := range keys {
 		v, ok := m.get(k)
 		if !ok || v != i {
 			t.Fatalf("get(%+v) = %d, %v; want %d", k, v, ok, i)
 		}
+	}
+}
+
+// TestPmapEpochUpdates: updates under an epoch update that epoch's nodes
+// in place and copy every older node, so a map captured before the epoch
+// began keeps its bindings while updates within the epoch allocate only
+// their new leaf.
+func TestPmapEpochUpdates(t *testing.T) {
+	m := newPmap[OID, int](hashOID)
+	for i := 1; i <= 500; i++ {
+		m = m.set(1, OID(i), i)
+	}
+	snap := m // published: the writer moves on to epoch 2
+	for i := 1; i <= 500; i++ {
+		if i%3 == 0 {
+			m = m.del(2, OID(i))
+		} else {
+			m = m.set(2, OID(i), -i)
+		}
+	}
+	m = m.set(2, OID(900), 900)
+	for i := 1; i <= 500; i++ {
+		if v, ok := snap.get(OID(i)); !ok || v != i {
+			t.Fatalf("captured map: get(%d) = %d, %v; want %d", i, v, ok, i)
+		}
+		v, ok := m.get(OID(i))
+		if want := i%3 != 0; ok != want || (ok && v != -i) {
+			t.Fatalf("updated map: get(%d) = %d, %v", i, v, ok)
+		}
+	}
+	if snap.len() != 500 || m.len() != 335 {
+		t.Fatalf("len = %d captured, %d updated", snap.len(), m.len())
+	}
+	if _, ok := snap.get(OID(900)); ok {
+		t.Fatal("captured map sees a key added after capture")
+	}
+	if n := testing.AllocsPerRun(10, func() { m = m.set(2, OID(1), 7) }); n != 1 {
+		t.Errorf("rebinding a key within its epoch allocated %v times, want 1 (the leaf)", n)
+	}
+	if n := testing.AllocsPerRun(10, func() { m = m.set(0, OID(1), 7) }); n <= 1 {
+		t.Errorf("a persistent update allocated %v times, want a copied path", n)
 	}
 }

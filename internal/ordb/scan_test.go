@@ -2,6 +2,7 @@ package ordb
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -102,6 +103,11 @@ func TestScanOrderAndCharge(t *testing.T) {
 }
 
 func TestProbeEqualMatchesFilterScan(t *testing.T) {
+	t.Run("relational", probeMatchesScanRelational)
+	t.Run("object table", probeMatchesScanObjectTable)
+}
+
+func probeMatchesScanRelational(t *testing.T) {
 	names := make([]string, 30)
 	for i := range names {
 		names[i] = fmt.Sprintf("g%d", i%3)
@@ -122,6 +128,177 @@ func TestProbeEqualMatchesFilterScan(t *testing.T) {
 		})
 		if fmt.Sprint(rows) != fmt.Sprint(want) {
 			t.Errorf("probe %q = %d rows, filter scan = %d rows (or another order)", key, len(rows), len(want))
+		}
+	}
+}
+
+// refFixture is an object table C whose Parent column REFs the rows of
+// a parent table P — the shape of the Oracle 8 mapping's child tables —
+// with three parent rows. Parent carries the automatic REF index.
+func refFixture(t testing.TB) (*DB, *Table, []Ref) {
+	t.Helper()
+	db := New(ModeOracle8)
+	pt, err := db.CreateObjectType("TyP", []AttrDef{{Name: "Name", Type: VarcharType{Len: 20}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.CreateObjectType("TyC", []AttrDef{
+		{Name: "Parent", Type: &RefType{Target: pt}},
+		{Name: "N", Type: NumberType{}},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	ptab, err := db.CreateTable(TableSpec{Name: "P", OfType: "TyP"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctab, err := db.CreateTable(TableSpec{Name: "C", OfType: "TyC"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var parents []Ref
+	for _, name := range []string{"p0", "p1", "p2"} {
+		oid, err := ptab.Insert([]Value{Str(name)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		parents = append(parents, Ref{Table: "P", OID: oid})
+	}
+	return db, ctab, parents
+}
+
+// probeScanMismatch describes how probing col = key differs from a
+// filter scan for it — other rows, or the same rows in another order — or
+// returns "" when they agree. Rows are compared by identity.
+func probeScanMismatch(tab *Table, col string, key Value) string {
+	rows, ok := tab.ProbeEqual(col, key)
+	if !ok {
+		return fmt.Sprintf("probe of %s = %v refused", col, key)
+	}
+	ci := tab.ColIndex(col)
+	var want []*Row
+	tab.Scan(func(r *Row) bool {
+		if DeepEqual(r.Vals[ci], key) {
+			want = append(want, r)
+		}
+		return true
+	})
+	if slices.Equal(rows, want) {
+		return ""
+	}
+	oids := func(rs []*Row) []OID {
+		out := make([]OID, len(rs))
+		for i, r := range rs {
+			out[i] = r.OID
+		}
+		return out
+	}
+	return fmt.Sprintf("probe of %s = %v returned OIDs %v, filter scan %v", col, key, oids(rows), oids(want))
+}
+
+// requireProbeMatchesScan checks every parent key, and one no row holds,
+// on the live table and on the published version.
+func requireProbeMatchesScan(t *testing.T, step string, db *DB, parents []Ref) {
+	t.Helper()
+	keys := append([]Ref{{Table: "P", OID: 999}}, parents...)
+	for _, d := range []*DB{db, db.Reader()} {
+		tab, err := d.Table("C")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, k := range keys {
+			if msg := probeScanMismatch(tab, "Parent", k); msg != "" {
+				t.Errorf("%s (frozen=%v): %s", step, d.frozen, msg)
+			}
+		}
+	}
+}
+
+// probeMatchesScanObjectTable: a REF index answers in OID order —
+// insertion order, the order a scan visits — through every mutation that
+// re-adds an older row to a bucket.
+func probeMatchesScanObjectTable(t *testing.T) {
+	db, tab, parents := refFixture(t)
+	p0, p1 := parents[0], parents[1]
+	var oids []OID
+	for i := 0; i < 4; i++ {
+		oid, err := tab.Insert([]Value{p0, Num(i)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		oids = append(oids, oid)
+	}
+	requireProbeMatchesScan(t, "inserts", db, parents)
+
+	// The repro: a rolled-back delete of a middle row re-adds it to its
+	// bucket, where appending would put it last.
+	tx, err := db.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tab.Delete(func(r *Row) (bool, error) { return r.OID == oids[1], nil }); err != nil {
+		t.Fatal(err)
+	}
+	requireProbeMatchesScan(t, "delete in tx", db, parents)
+	if err := tx.Rollback(); err != nil {
+		t.Fatal(err)
+	}
+	requireProbeMatchesScan(t, "rolled-back delete", db, parents)
+
+	// Copy-on-write updates of published rows swap in a fresh Row.
+	frozen := db.Reader()
+	if _, err := tab.UpdateWhere(
+		func(r *Row) (bool, error) { return r.OID == oids[0], nil },
+		func(vals []Value) ([]Value, error) { return []Value{vals[0], Num(10)}, nil },
+	); err != nil {
+		t.Fatal(err)
+	}
+	requireProbeMatchesScan(t, "UpdateWhere of a published row", db, parents)
+	if err := tab.ReplaceByOID(oids[2], []Value{p1, Num(2)}); err != nil {
+		t.Fatal(err)
+	}
+	if err := tab.ReplaceByOID(oids[2], []Value{p0, Num(2)}); err != nil {
+		t.Fatal(err)
+	}
+	requireProbeMatchesScan(t, "ReplaceByOID away and back", db, parents)
+	// An older version still answers from the buckets it captured.
+	fc, _ := frozen.Table("C")
+	if msg := probeScanMismatch(fc, "Parent", p0); msg != "" {
+		t.Errorf("earlier version: %s", msg)
+	}
+
+	// Savepoint rollback of a rekey, a delete and a COW replace.
+	tx, err = db.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Savepoint("sp"); err != nil {
+		t.Fatal(err)
+	}
+	if err := tab.ReplaceByOID(oids[0], []Value{p1, Num(0)}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tab.Delete(func(r *Row) (bool, error) { return r.OID == oids[3], nil }); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tab.Insert([]Value{p1, Num(5)}); err != nil {
+		t.Fatal(err)
+	}
+	requireProbeMatchesScan(t, "inside savepoint", db, parents)
+	if err := tx.RollbackTo("sp"); err != nil {
+		t.Fatal(err)
+	}
+	requireProbeMatchesScan(t, "rollback to savepoint", db, parents)
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	rows, _ := tab.ProbeEqual("Parent", p0)
+	if len(rows) != 4 {
+		t.Fatalf("after the savepoint rollback p0 has %d children, want 4", len(rows))
+	}
+	for i, r := range rows {
+		if r.OID != oids[i] {
+			t.Fatalf("p0's children in OID order %v, want %v", rows, oids)
 		}
 	}
 }

@@ -266,7 +266,7 @@ func (t *Table) Insert(vals []Value) (OID, error) {
 	if t.IsObjectTable() {
 		t.db.nextOID++
 		row.OID = t.db.nextOID
-		t.oidIndex = t.oidIndex.set(row.OID, row)
+		t.oidIndex = t.oidIndex.set(t.db.epoch, row.OID, row)
 	}
 	t.rows = append(t.rows, row)
 	t.indexInsertLocked(row)
@@ -382,7 +382,7 @@ func (t *Table) RestoreRow(oid OID, vals []Value) error {
 		if _, dup := t.oidIndex.get(oid); dup {
 			return fmt.Errorf("ordb: table %s: duplicate OID %d in snapshot", t.Name, oid)
 		}
-		t.oidIndex = t.oidIndex.set(oid, row)
+		t.oidIndex = t.oidIndex.set(t.db.epoch, oid, row)
 		if oid > t.db.nextOID {
 			t.db.nextOID = oid
 		}
@@ -503,7 +503,7 @@ func (t *Table) Delete(pred func(*Row) (bool, error)) (int, error) {
 	t.db.logUndo(undoDelete{t: t, prev: t.rows, prevShared: t.rowsShared, removed: removed})
 	for _, r := range removed {
 		if r.OID != 0 {
-			t.oidIndex = t.oidIndex.del(r.OID)
+			t.oidIndex = t.oidIndex.del(t.db.epoch, r.OID)
 		}
 		t.indexRemoveLocked(r)
 		t.maxLeaveLocked(r.Vals)
@@ -547,7 +547,7 @@ func (t *Table) replaceRowLocked(row *Row, idx int, checked []Value) bool {
 	t.privatizeRowsLocked()
 	t.rows[idx] = nr
 	if nr.OID != 0 {
-		t.oidIndex = t.oidIndex.set(nr.OID, nr)
+		t.oidIndex = t.oidIndex.set(t.db.epoch, nr.OID, nr)
 	}
 	t.indexRemoveLocked(row)
 	t.indexInsertLocked(nr)

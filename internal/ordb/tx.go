@@ -119,7 +119,7 @@ func (u undoInsert) revert() {
 		}
 	}
 	if u.row.OID != 0 {
-		t.oidIndex = t.oidIndex.del(u.row.OID)
+		t.oidIndex = t.oidIndex.del(t.db.epoch, u.row.OID)
 	}
 	t.indexRemoveLocked(u.row)
 	t.maxLeaveLocked(u.row.Vals)
@@ -140,7 +140,7 @@ func (u undoDelete) revert() {
 	u.t.rowsShared = u.prevShared
 	for _, r := range u.removed {
 		if r.OID != 0 {
-			u.t.oidIndex = u.t.oidIndex.set(r.OID, r)
+			u.t.oidIndex = u.t.oidIndex.set(u.t.db.epoch, r.OID, r)
 		}
 		u.t.indexInsertLocked(r)
 		u.t.maxEnterLocked(r.Vals)
@@ -176,7 +176,7 @@ type undoSwap struct {
 func (u undoSwap) revert() {
 	u.t.rows[u.idx] = u.old
 	if u.old.OID != 0 {
-		u.t.oidIndex = u.t.oidIndex.set(u.old.OID, u.old)
+		u.t.oidIndex = u.t.oidIndex.set(u.t.db.epoch, u.old.OID, u.old)
 	}
 	u.t.indexRemoveLocked(u.repl)
 	u.t.indexInsertLocked(u.old)

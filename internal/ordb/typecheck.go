@@ -165,7 +165,7 @@ func (db *DB) conform(v Value, t Type) (Value, error) {
 		if !exists {
 			return nil, fmt.Errorf("oid %d in %s: %w", r.OID, r.Table, ErrDanglingRef)
 		}
-		return r, nil
+		return v, nil // stored as boxed by the caller, like an in-range Str
 	default:
 		return nil, fmt.Errorf("unsupported declared type %T", t)
 	}

@@ -27,9 +27,11 @@ import (
 //     privatizeRowsLocked).
 //   - The OID index and every secondary index are persistent hash tries
 //     (pmap.go): capturing them is a struct copy, and live-side updates
-//     path-copy instead of mutating shared nodes. Index buckets follow
-//     the same append-only discipline as the rows slice — removal always
-//     copies the bucket, never shifts it in place.
+//     path-copy instead of mutating shared nodes — only trie nodes
+//     created since the last publish, which no version holds, are
+//     updated in place. Index buckets follow the same append-only
+//     discipline as the rows slice — removal always copies the bucket,
+//     never shifts it in place.
 //   - Individual rows are immutable once published. A Row carries the
 //     publish epoch it was created in; a row still private to the live
 //     side (epoch == current) may be fixed up in place (the loader's

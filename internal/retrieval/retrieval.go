@@ -37,20 +37,7 @@ func (r *Retriever) Document(docID int) (*xmldom.Document, error) {
 	if err != nil {
 		return nil, err
 	}
-	var rowVals []ordb.Value
-	if rows, ok := rootTab.ProbeEqual("DocID", ordb.Num(docID)); ok {
-		if len(rows) > 0 {
-			rowVals = rows[0].Vals
-		}
-	} else {
-		rootTab.Scan(func(row *ordb.Row) bool {
-			if n, ok := row.Vals[0].(ordb.Num); ok && int(n) == docID {
-				rowVals = row.Vals
-				return false
-			}
-			return true
-		})
-	}
+	rowVals := DocRow(rootTab, docID)
 	if rowVals == nil {
 		return nil, fmt.Errorf("retrieval: document %d not found in %s", docID, r.sch.RootTable)
 	}
@@ -87,6 +74,27 @@ func (r *Retriever) Document(docID int) (*xmldom.Document, error) {
 		restoreEntities(rootElem, md.Entities)
 	}
 	return doc, nil
+}
+
+// DocRow returns the values of document docID's row in the root table
+// (DocID is its first column), or nil when there is none. It probes the
+// DocID index and scans only when that index was dropped.
+func DocRow(rootTab *ordb.Table, docID int) []ordb.Value {
+	if rows, ok := rootTab.ProbeEqual("DocID", ordb.Num(docID)); ok {
+		if len(rows) == 0 {
+			return nil
+		}
+		return rows[0].Vals
+	}
+	var vals []ordb.Value
+	rootTab.Scan(func(row *ordb.Row) bool {
+		if n, ok := row.Vals[0].(ordb.Num); ok && int(n) == docID {
+			vals = row.Vals
+			return false
+		}
+		return true
+	})
+	return vals
 }
 
 // elementFromRef dereferences and reconstructs a row-stored element.
@@ -137,8 +145,8 @@ func (r *Retriever) elementFromVals(b *xmldom.Builder, name string, m *mapping.E
 		}
 	}
 	// Children stored in child tables (Section 4.2 variant) are found by
-	// scanning for rows whose parent REF is this row; insertion order
-	// reproduces document order.
+	// probing the index on their parent REF for this row; the probe answers
+	// in insertion order, which reproduces document order.
 	if selfRef != nil {
 		if err := r.attachChildTableRows(b, el, m, *selfRef, visited); err != nil {
 			return nil, err
@@ -344,7 +352,9 @@ func (r *Retriever) applyRefChild(b *xmldom.Builder, el *xmldom.Element, f mappi
 }
 
 // attachChildTableRows finds StrategyRef children pointing back at this
-// row and reconstructs them in insertion order.
+// row and reconstructs them in insertion order. The children are found
+// through the equality index every REF column carries, so the cost is
+// the element's own children, whatever else the child table holds.
 func (r *Retriever) attachChildTableRows(b *xmldom.Builder, el *xmldom.Element, m *mapping.ElemMapping, selfRef ordb.Ref, visited map[ordb.Ref]bool) error {
 	decl := r.sch.DTD.Element(m.Name)
 	if decl == nil {
@@ -357,28 +367,25 @@ func (r *Retriever) attachChildTableRows(b *xmldom.Builder, el *xmldom.Element, 
 		}
 		// The child must carry a parent REF to this element type and the
 		// parent must have no field for the child.
-		parentRefIdx := -1
-		for i, f := range cm.Fields {
+		parentCol := ""
+		for _, f := range cm.Fields {
 			if f.Kind == mapping.FieldParentRef && f.RefTarget == m.Name {
-				parentRefIdx = i
+				parentCol = f.DBName
 			}
 		}
-		if parentRefIdx < 0 || hasFieldFor(m, refd.Name) {
+		if parentCol == "" || hasFieldFor(m, refd.Name) {
 			continue
 		}
 		tab, err := r.en.DB().Table(cm.ObjectTable)
 		if err != nil {
 			return err
 		}
-		var childRefs []ordb.Ref
-		tab.Scan(func(row *ordb.Row) bool {
-			if ref, ok := row.Vals[parentRefIdx].(ordb.Ref); ok && ref == selfRef {
-				childRefs = append(childRefs, ordb.Ref{Table: cm.ObjectTable, OID: row.OID})
-			}
-			return true
-		})
-		for _, cr := range childRefs {
-			child, err := r.elementFromRef(b, cr, visited)
+		rows, ok := tab.ProbeEqual(parentCol, selfRef)
+		if !ok {
+			return fmt.Errorf("retrieval: %s.%s has no index to find the children of %s by", tab.Name, parentCol, m.Name)
+		}
+		for _, row := range rows {
+			child, err := r.elementFromRef(b, ordb.Ref{Table: cm.ObjectTable, OID: row.OID}, visited)
 			if err != nil {
 				return err
 			}

@@ -379,14 +379,13 @@ func (s *Server) startReplicationLocked() {
 		defer s.replWg.Done()
 		// Under automatic failover the handshake must carry our advertised
 		// address (anonymous replicas are invisible to elections), so wait
-		// for the listener to bind before the first connection.
-		if s.cfg.ElectionTimeout > 0 && s.cfg.ChainOf == "" {
-			for s.advertiseAddr() == "" {
-				select {
-				case <-stop:
-					return
-				case <-time.After(20 * time.Millisecond):
-				}
+		// for the listener to bind before the first connection — and no
+		// longer: until this replica attaches, no other member knows it.
+		if s.cfg.ElectionTimeout > 0 && s.cfg.ChainOf == "" && s.cfg.Advertise == "" {
+			select {
+			case <-stop:
+				return
+			case <-s.bound:
 			}
 		}
 		warned := map[string]bool{} // unusable names, logged once each

@@ -302,6 +302,7 @@ type Server struct {
 	sessionSeq int64
 	draining   bool
 	ln         net.Listener
+	bound      chan struct{} // closed once Serve has a listener
 	httpSrv    *http.Server
 
 	metrics  *metrics
@@ -356,6 +357,7 @@ func New(cfg Config) *Server {
 		stores:   map[string]*hostedStore{},
 		opening:  map[string]struct{}{},
 		sessions: map[*session]struct{}{},
+		bound:    make(chan struct{}),
 		metrics:  newMetrics(),
 		feedStop: make(chan struct{}),
 		replStop: make(chan struct{}),
@@ -616,6 +618,9 @@ func (s *Server) Serve(ln net.Listener) error {
 		s.mu.Unlock()
 		ln.Close()
 		return fmt.Errorf("server: already shut down")
+	}
+	if s.ln == nil {
+		close(s.bound)
 	}
 	s.ln = ln
 	s.mu.Unlock()

@@ -4,6 +4,7 @@ import (
 	"encoding/gob"
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 
 	"xmlordb/internal/ordb"
@@ -12,9 +13,10 @@ import (
 // Snapshot persistence: SaveSnapshot serializes an engine's entire state
 // — catalog and rows — to a writer; LoadSnapshot rebuilds an equivalent
 // engine. The catalog travels as regenerated DDL text (types, tables with
-// their constraints and CHECK expressions, views), and the rows as
-// gob-encoded values with their object identifiers preserved, so REFs
-// stay valid across the round trip.
+// their constraints and CHECK expressions, the indexes CREATE TABLE does
+// not restore by itself, views), and the rows as gob-encoded values with
+// their object identifiers preserved, so REFs stay valid across the round
+// trip.
 
 func init() {
 	gob.Register(ordb.Null{})
@@ -66,11 +68,13 @@ func (en *Engine) SaveSnapshot(w io.Writer) error {
 		return err
 	}
 	snap.DDL = typeDDL
+	tables := make([]*ordb.Table, 0, len(tableRows))
 	for _, tr := range tableRows {
 		t, err := db.Table(tr.Name)
 		if err != nil {
 			return err
 		}
+		tables = append(tables, t)
 		snap.DDL = append(snap.DDL, TableDDL(t))
 		ts := tableSnapshot{Name: t.Name}
 		for _, r := range tr.Rows {
@@ -78,6 +82,7 @@ func (en *Engine) SaveSnapshot(w io.Writer) error {
 		}
 		snap.Tables = append(snap.Tables, ts)
 	}
+	snap.DDL = append(snap.DDL, indexDDL(tables)...)
 	for _, name := range db.ViewNames() {
 		v, err := db.View(name)
 		if err != nil {
@@ -115,6 +120,33 @@ func LoadSnapshot(r io.Reader) (*Engine, error) {
 		}
 	}
 	return en, nil
+}
+
+// indexDDL renders what CREATE TABLE alone does not restore: a DROP INDEX
+// for each automatic index a table no longer has and a CREATE INDEX for
+// each index the automatic rule does not give it. The drops all come
+// first: index names are unique database-wide, and a name dropped on one
+// table may be in use on another.
+func indexDDL(tables []*ordb.Table) []string {
+	var drops, creates []string
+	for _, t := range tables {
+		auto, have := t.AutoIndexes(), t.Indexes()
+		for _, a := range auto {
+			if !slices.ContainsFunc(have, func(h ordb.IndexDef) bool { return sameIndex(a, h) }) {
+				drops = append(drops, "DROP INDEX "+a.Name)
+			}
+		}
+		for _, h := range have {
+			if !slices.ContainsFunc(auto, func(a ordb.IndexDef) bool { return sameIndex(a, h) }) {
+				creates = append(creates, fmt.Sprintf("CREATE INDEX %s ON %s (%s)", h.Name, t.Name, h.Col))
+			}
+		}
+	}
+	return append(drops, creates...)
+}
+
+func sameIndex(a, b ordb.IndexDef) bool {
+	return strings.EqualFold(a.Name, b.Name) && strings.EqualFold(a.Col, b.Col)
 }
 
 // catalogTypeDDL regenerates CREATE TYPE statements for every user-

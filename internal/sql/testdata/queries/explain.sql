@@ -20,4 +20,16 @@ CREATE TABLE TabKwDoc (
   Name VARCHAR(50),
   Keywords Type_TabKw)
   NESTED TABLE Keywords STORE AS TabKw_List;
-EXPLAIN SELECT k.COLUMN_VALUE FROM TabKwDoc d, TABLE(d.Keywords) k
+EXPLAIN SELECT k.COLUMN_VALUE FROM TabKwDoc d, TABLE(d.Keywords) k;
+CREATE TYPE Type_Sec AS OBJECT(
+  attrTitle VARCHAR(50));
+CREATE TYPE Type_Para AS OBJECT(
+  attrText VARCHAR(100),
+  attrParentSec REF Type_Sec);
+CREATE TABLE TabSec OF Type_Sec;
+CREATE TABLE TabPara OF Type_Para;
+CREATE TABLE TabSecDoc (
+  DocID INTEGER,
+  attrSec REF Type_Sec);
+EXPLAIN SELECT p.attrText FROM TabSecDoc d, TabPara p
+  WHERE d.DocID = 1 AND p.attrParentSec = d.attrSec
