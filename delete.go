@@ -6,8 +6,8 @@ import (
 	"sort"
 
 	"xmlordb/internal/mapping"
+	"xmlordb/internal/meta"
 	"xmlordb/internal/ordb"
-	"xmlordb/internal/retrieval"
 )
 
 // sortedRefs returns the set's members ordered by table name then OID.
@@ -48,7 +48,7 @@ func (s *Store) deleteDocument(docID int) error {
 	if err != nil {
 		return err
 	}
-	rowVals := retrieval.DocRow(rootTab, docID)
+	rowVals := meta.DocRow(rootTab, docID)
 	if rowVals == nil {
 		return fmt.Errorf("xmlordb: document %d not found in %s", docID, s.Schema.RootTable)
 	}

@@ -106,16 +106,29 @@ func TestDeleteDocumentRecursive(t *testing.T) {
 	}
 }
 
-// TestRefRetrieveAndDeleteScanIndependentOfStoreSize: under the Oracle 8
-// REF mapping the engine rows one Retrieve and one DeleteDocument read do
-// not depend on how many documents the store holds — the same count with
-// 50 and with 2 000 stored — because children are found by probing the
-// index on their parent REF, not by scanning the child tables. A retrieve
-// on a published version (ReadView) probes the same indexes and reads
-// exactly as many rows. The meta-database is off: its TabMetadata lookup
-// is a scan of its own, outside this mapping.
+// TestRefRetrieveAndDeleteScanIndependentOfStoreSize: the engine rows
+// one Retrieve and one DeleteDocument read do not depend on how many
+// documents the store holds — the same count with 50 and with 2 000
+// stored. Under the Oracle 8 REF mapping children are found by probing the
+// index on their parent REF, not by scanning the child tables; with the
+// meta-database on, under either strategy, the TabMetadata row is found by
+// probing its DocID key. A retrieve on a published version (ReadView)
+// probes the same indexes and reads exactly as many rows.
 func TestRefRetrieveAndDeleteScanIndependentOfStoreSize(t *testing.T) {
-	s, err := Open(workload.UniversityDTD, "University", Config{Strategy: StrategyRef, DisableMetadata: true})
+	for _, arm := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"ref", Config{Strategy: StrategyRef, DisableMetadata: true}},
+		{"ref+meta", Config{Strategy: StrategyRef}},
+		{"nested+meta", Config{}},
+	} {
+		t.Run(arm.name, func(t *testing.T) { checkScanIndependentOfStoreSize(t, arm.cfg) })
+	}
+}
+
+func checkScanIndependentOfStoreSize(t *testing.T, cfg Config) {
+	s, err := Open(workload.UniversityDTD, "University", cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

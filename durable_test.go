@@ -100,6 +100,29 @@ func TestCheckpointMakesReopenReplayFree(t *testing.T) {
 	}
 }
 
+// TestSyncPolicyFsyncsPerCommit: under sync=always each serial document
+// commit pays its own fsync; under sync=never commits pay none and
+// durability waits for a checkpoint.
+func TestSyncPolicyFsyncsPerCommit(t *testing.T) {
+	const loads = 10
+	for _, tc := range []struct {
+		policy wal.SyncPolicy
+		want   int64
+	}{{wal.SyncAlways, loads}, {wal.SyncNever, 0}} {
+		s := openDurT(t, t.TempDir(), DurableOptions{Sync: tc.policy})
+		before, _ := s.WALStats()
+		for i := 0; i < loads; i++ {
+			if _, err := s.LoadXML(uniDoc, fmt.Sprintf("d%d", i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		after, _ := s.WALStats()
+		if got := after.Fsyncs - before.Fsyncs; got != tc.want {
+			t.Errorf("sync=%s: %d serial commits issued %d fsyncs, want %d", tc.policy, loads, got, tc.want)
+		}
+	}
+}
+
 func TestDurableDeleteReplay(t *testing.T) {
 	dir := t.TempDir()
 	s := openDurT(t, dir, DurableOptions{})

@@ -250,28 +250,64 @@ func (s *Store) Document(docID int) (*Document, error) {
 	if err != nil {
 		return nil, err
 	}
-	var found []ordb.Value
+	vals := DocRow(tab, docID)
+	if vals == nil {
+		return nil, fmt.Errorf("%w: %d", ErrNoSuchDocument, docID)
+	}
+	return decodeDocument(vals), nil
+}
+
+// Documents lists all registered documents in DocID order.
+func (s *Store) Documents() ([]*Document, error) {
+	tab, err := s.en.DB().Table("TabMetadata")
+	if err != nil {
+		return nil, err
+	}
+	var out []*Document
 	tab.Scan(func(r *ordb.Row) bool {
-		if n, ok := r.Vals[0].(ordb.Num); ok && int(n) == docID {
-			found = r.Vals
+		if _, ok := r.Vals[0].(ordb.Num); ok {
+			out = append(out, decodeDocument(r.Vals))
+		}
+		return true
+	})
+	return out, nil
+}
+
+// DocRow returns the values of document docID's row in a table keyed by
+// a leading DocID column — TabMetadata or a generated root table — or nil
+// when there is none. It probes the DocID index and scans only when that
+// index was dropped.
+func DocRow(tab *ordb.Table, docID int) []ordb.Value {
+	if rows, ok := tab.ProbeEqual("DocID", ordb.Num(docID)); ok {
+		if len(rows) == 0 {
+			return nil
+		}
+		return rows[0].Vals
+	}
+	var vals []ordb.Value
+	tab.Scan(func(row *ordb.Row) bool {
+		if n, ok := row.Vals[0].(ordb.Num); ok && int(n) == docID {
+			vals = row.Vals
 			return false
 		}
 		return true
 	})
-	if found == nil {
-		return nil, fmt.Errorf("%w: %d", ErrNoSuchDocument, docID)
-	}
+	return vals
+}
+
+// decodeDocument builds the meta record from a TabMetadata row.
+func decodeDocument(vals []ordb.Value) *Document {
 	doc := &Document{
-		DocID:        docID,
-		DocName:      str(found[1]),
-		URL:          str(found[2]),
-		SchemaID:     str(found[3]),
-		Namespace:    str(found[4]),
-		XMLVersion:   str(found[5]),
-		CharacterSet: str(found[6]),
-		Standalone:   strings.TrimRight(str(found[7]), " "), // CHAR(3) is blank-padded
+		DocID:        int(vals[0].(ordb.Num)),
+		DocName:      str(vals[1]),
+		URL:          str(vals[2]),
+		SchemaID:     str(vals[3]),
+		Namespace:    str(vals[4]),
+		XMLVersion:   str(vals[5]),
+		CharacterSet: str(vals[6]),
+		Standalone:   strings.TrimRight(str(vals[7]), " "), // CHAR(3) is blank-padded
 	}
-	if c, ok := found[8].(*ordb.Coll); ok {
+	if c, ok := vals[8].(*ordb.Coll); ok {
 		for _, e := range c.Elems {
 			o := e.(*ordb.Object)
 			doc.Data = append(doc.Data, DocData{
@@ -283,7 +319,7 @@ func (s *Store) Document(docID int) (*Document, error) {
 			})
 		}
 	}
-	if c, ok := found[9].(*ordb.Coll); ok {
+	if c, ok := vals[9].(*ordb.Coll); ok {
 		for _, e := range c.Elems {
 			o := e.(*ordb.Object)
 			doc.Entities = append(doc.Entities, Entity{
@@ -292,34 +328,10 @@ func (s *Store) Document(docID int) (*Document, error) {
 			})
 		}
 	}
-	if d, ok := found[10].(ordb.DateVal); ok {
+	if d, ok := vals[10].(ordb.DateVal); ok {
 		doc.Date = time.Time(d)
 	}
-	return doc, nil
-}
-
-// Documents lists all registered documents in DocID order.
-func (s *Store) Documents() ([]*Document, error) {
-	tab, err := s.en.DB().Table("TabMetadata")
-	if err != nil {
-		return nil, err
-	}
-	var ids []int
-	tab.Scan(func(r *ordb.Row) bool {
-		if n, ok := r.Vals[0].(ordb.Num); ok {
-			ids = append(ids, int(n))
-		}
-		return true
-	})
-	out := make([]*Document, 0, len(ids))
-	for _, id := range ids {
-		d, err := s.Document(id)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, d)
-	}
-	return out, nil
+	return doc
 }
 
 func str(v ordb.Value) string {

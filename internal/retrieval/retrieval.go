@@ -37,7 +37,7 @@ func (r *Retriever) Document(docID int) (*xmldom.Document, error) {
 	if err != nil {
 		return nil, err
 	}
-	rowVals := DocRow(rootTab, docID)
+	rowVals := meta.DocRow(rootTab, docID)
 	if rowVals == nil {
 		return nil, fmt.Errorf("retrieval: document %d not found in %s", docID, r.sch.RootTable)
 	}
@@ -74,27 +74,6 @@ func (r *Retriever) Document(docID int) (*xmldom.Document, error) {
 		restoreEntities(rootElem, md.Entities)
 	}
 	return doc, nil
-}
-
-// DocRow returns the values of document docID's row in the root table
-// (DocID is its first column), or nil when there is none. It probes the
-// DocID index and scans only when that index was dropped.
-func DocRow(rootTab *ordb.Table, docID int) []ordb.Value {
-	if rows, ok := rootTab.ProbeEqual("DocID", ordb.Num(docID)); ok {
-		if len(rows) == 0 {
-			return nil
-		}
-		return rows[0].Vals
-	}
-	var vals []ordb.Value
-	rootTab.Scan(func(row *ordb.Row) bool {
-		if n, ok := row.Vals[0].(ordb.Num); ok && int(n) == docID {
-			vals = row.Vals
-			return false
-		}
-		return true
-	})
-	return vals
 }
 
 // elementFromRef dereferences and reconstructs a row-stored element.

@@ -14,8 +14,8 @@ import (
 
 // Wire-level benchmarks: full round trips (frame encode, TCP loopback,
 // server dispatch with lock discipline, frame decode) for the three hot
-// verbs. Compare with the embedded-library benches in internal/bench to
-// see the serving-layer overhead.
+// verbs. The wire harness (`bash benchmark/run.sh --trace 1`) splits the
+// same round trips into per-layer time.
 
 func benchServer(b *testing.B) (*client.Client, func()) {
 	b.Helper()

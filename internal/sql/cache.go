@@ -39,8 +39,10 @@ var stmtCache = &parseCache{
 func (c *parseCache) get(src string) (Stmt, bool) {
 	c.mu.Lock()
 	el, ok := c.entries[src]
+	var stmt Stmt
 	if ok {
 		c.lru.MoveToFront(el)
+		stmt = el.Value.(*parseEntry).stmt // put may replace it
 	}
 	c.mu.Unlock()
 	if !ok {
@@ -48,7 +50,7 @@ func (c *parseCache) get(src string) (Stmt, bool) {
 		return nil, false
 	}
 	c.hits.Add(1)
-	return el.Value.(*parseEntry).stmt, true
+	return stmt, true
 }
 
 // put stores a successful parse, evicting the least recently used entry

@@ -254,6 +254,9 @@ func (tr *translator) run(path *Path) (string, error) {
 			return "", err
 		}
 	}
+	if len(path.Steps) == 1 && path.Attr == "" {
+		return "", fmt.Errorf("xpath: the root element %s is a table row, not a value; select a child or attribute", root.Name)
+	}
 	selectExpr := cur
 	if path.Attr != "" {
 		e, err := tr.attrExpr(cur, curElem, path.Attr)

@@ -48,18 +48,21 @@ func TestParsePathPositional(t *testing.T) {
 	}
 }
 
+// parseErrorPaths are outside the supported grammar.
+var parseErrorPaths = []string{
+	``, `relative/path`, `/a/@x/b`, `/a[`, `/a[@x]`, `/a[@x=unquoted]`,
+	`/a[@x='unterminated`, `/a[0]`, `//a`,
+}
+
 func TestParseErrors(t *testing.T) {
-	for _, src := range []string{
-		``, `relative/path`, `/a/@x/b`, `/a[`, `/a[@x]`, `/a[@x=unquoted]`,
-		`/a[@x='unterminated`, `/a[0]`, `//a`,
-	} {
+	for _, src := range parseErrorPaths {
 		if _, err := ParsePath(src); err == nil {
 			t.Errorf("ParsePath(%q) should fail", src)
 		}
 	}
 }
 
-func setup(t *testing.T) (*mapping.Schema, *sql.Engine) {
+func setup(t testing.TB) (*mapping.Schema, *sql.Engine) {
 	t.Helper()
 	d := dtd.MustParse("University", workload.UniversityDTD)
 	tree, err := dtd.BuildTree(d, "University")
@@ -83,20 +86,32 @@ func setup(t *testing.T) (*mapping.Schema, *sql.Engine) {
 	return sch, en
 }
 
+// translateCases translate over the Appendix A schema and return at least
+// minRows rows from setup's store.
+var translateCases = []struct {
+	xpath    string
+	minRows  int
+	contains string
+}{
+	{`/University/StudyCourse`, 1, "attrStudyCourse"},
+	{`/University/Student/LName`, 6, "TABLE("},
+	{`/University/Student/@StudNr`, 6, "attrListStudent.attrStudNr"},
+	{`/University/Student/Course/Professor[PName="Jaeger"]/Dept`, 2, "attrPName = 'Jaeger'"},
+	{`/University/Student/Course/Professor/Subject`, 12, "COLUMN_VALUE"},
+}
+
+// translateErrorPaths parse but do not translate over the schema.
+var translateErrorPaths = []string{
+	`/Wrong/Student`,
+	`/University/Nope`,
+	`/University/Student[5]/LName`,
+	`/University/Student/@nope`,
+	`/University/Student[Course='x']/LName`, // predicate child is complex
+}
+
 func TestTranslateAndRun(t *testing.T) {
 	sch, en := setup(t)
-	cases := []struct {
-		xpath    string
-		minRows  int
-		contains string
-	}{
-		{`/University/StudyCourse`, 1, "attrStudyCourse"},
-		{`/University/Student/LName`, 6, "TABLE("},
-		{`/University/Student/@StudNr`, 6, "attrListStudent.attrStudNr"},
-		{`/University/Student/Course/Professor[PName="Jaeger"]/Dept`, 2, "attrPName = 'Jaeger'"},
-		{`/University/Student/Course/Professor/Subject`, 12, "COLUMN_VALUE"},
-	}
-	for _, tc := range cases {
+	for _, tc := range translateCases {
 		stmt, err := Translate(sch, tc.xpath)
 		if err != nil {
 			t.Errorf("Translate(%s): %v", tc.xpath, err)
@@ -116,9 +131,11 @@ func TestTranslateAndRun(t *testing.T) {
 	}
 }
 
+const setValuedPredicatePath = `/University/Student/Course/Professor[Subject="CAD"]/PName`
+
 func TestTranslatePredicateOnSetValuedSimple(t *testing.T) {
 	sch, en := setup(t)
-	stmt, err := Translate(sch, `/University/Student/Course/Professor[Subject="CAD"]/PName`)
+	stmt, err := Translate(sch, setValuedPredicatePath)
 	if err != nil {
 		t.Fatalf("Translate: %v", err)
 	}
@@ -129,15 +146,40 @@ func TestTranslatePredicateOnSetValuedSimple(t *testing.T) {
 
 func TestTranslateErrors(t *testing.T) {
 	sch, _ := setup(t)
-	for _, src := range []string{
-		`/Wrong/Student`,
-		`/University/Nope`,
-		`/University/Student[5]/LName`,
-		`/University/Student/@nope`,
-		`/University/Student[Course='x']/LName`, // predicate child is complex
-	} {
+	for _, src := range translateErrorPaths {
 		if _, err := Translate(sch, src); err == nil {
 			t.Errorf("Translate(%q) should fail", src)
 		}
 	}
+}
+
+// FuzzXPath: Translate over the Appendix A schema returns an error or a
+// statement for any input, never a panic, and every statement it returns
+// parses and runs on a small loaded store.
+func FuzzXPath(f *testing.F) {
+	f.Add(`/University/Student[@StudNr="23374"]/Course[Name='CAD Intro']/CreditPts`)
+	f.Add(`/a/b[2]`)
+	f.Add(setValuedPredicatePath)
+	for _, src := range parseErrorPaths {
+		f.Add(src)
+	}
+	for _, tc := range translateCases {
+		f.Add(tc.xpath)
+	}
+	for _, src := range translateErrorPaths {
+		f.Add(src)
+	}
+	sch, en := setup(f)
+	f.Fuzz(func(t *testing.T, src string) {
+		stmt, err := Translate(sch, src)
+		if err != nil {
+			return
+		}
+		if _, err := sql.ParseStatement(stmt); err != nil {
+			t.Fatalf("Translate(%q) = %q, which does not parse: %v", src, stmt, err)
+		}
+		if _, err := en.Query(stmt); err != nil {
+			t.Fatalf("Translate(%q) = %q, which fails: %v", src, stmt, err)
+		}
+	})
 }
