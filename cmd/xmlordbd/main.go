@@ -10,10 +10,16 @@
 //	xmlordbd repl   [flags]                  # interactive wire client
 //	xmlordbd wal    info|dump <store-dir>    # inspect a durable store's WAL
 //
+// Every flag is passed by a test in this directory (a CI step checks
+// it); session limits, read-wait, store-list refresh and the ingest
+// worker default are server.Config fields with their defaults and no
+// flag.
+//
 // Server flags:
 //
 //	-addr :7788             TCP listen address
-//	-stats-addr addr        optional HTTP listener serving GET /stats
+//	-stats-addr addr        HTTP listener serving GET /stats (the STATS
+//	                        payload as JSON); a bind failure fails startup
 //	-dtd file.dtd           DTD to install as the initial store
 //	-root name              root element for -dtd (default: unique candidate)
 //	-name default           name of the initial store
@@ -26,14 +32,9 @@
 //	                        (the default), "interval" or "never"
 //	-wal-sync-interval 50ms background WAL flush period under "interval"
 //	-wal-segment-bytes 0    WAL segment size cap before rotation (0 = 4MiB)
-//	-idle-timeout 5m        close sessions idle this long
-//	-request-timeout 0      per-request execution limit (0 = none)
-//	-max-request 16777216   request frame size limit in bytes
 //	-replica-of addr        start as a read replica of the primary at addr
 //	                        (requires -snapshot-dir); writes
 //	                        are rejected until PROMOTE or election
-//	-chain-of addr          start as a chained replica pulling from another
-//	                        replica instead of the primary (never elected)
 //	-advertise addr         address peers dial to reach this server
 //	                        (default: the bound listener address)
 //	-election-timeout 0     enable automatic failover: a replica whose
@@ -44,31 +45,16 @@
 //	-repl-sync-acks 0       semi-sync: hold each write until this many
 //	                        replicas durably ack it
 //	-repl-sync-timeout 5s   semi-sync ack wait limit
-//	-read-wait 2s           max wait for a wait_lsn read to catch up
-//	                        before the replica answers "lagging"
-//	-repl-max-lag 0         drop replicas more than this many WAL records
-//	                        behind (they re-sync via snapshot transfer)
 //	-repl-heartbeat 1s      replication stream idle heartbeat
 //	-repl-retry 500ms       replica reconnect backoff (exponential, 10s cap)
-//	-repl-store-refresh 5s  how often a replica re-polls the primary's
-//	                        store list for stores OPENed after it connected
-//	-shards 0               embedded sharding: boot N in-process shard
-//	                        servers on loopback ports, each with its own
-//	                        WAL directory (<snapshot-dir>/shard-<i>), and
-//	                        serve -addr with a scatter-gather router over
-//	                        them. Incompatible with the replication flags.
 //	-shard-index / -shard-count
-//	                        shard identity for a standalone shard server
-//	                        behind an `xmlordbd router`: this process is
-//	                        shard <index> (0-based) of <count>
-//	-ingest-workers 0       default BULKLOAD pipeline workers
-//	                        (0 = GOMAXPROCS)
+//	                        shard identity for a shard server behind an
+//	                        `xmlordbd router`: this process is shard
+//	                        <index> (0-based) of <count>
 //
-// Router flags (xmlordbd router -addr :7799 host1:7788 host2:7788 ...):
-//
-//	-addr :7799             TCP listen address
-//	-idle-timeout 5m        close client sessions idle this long
-//	-max-request 16777216   request frame size limit in bytes
+// Router (xmlordbd router -addr :7799 host1:7788 host2:7788 ...): -addr
+// is the TCP listen address; the positional shard addresses, in order,
+// are the topology.
 //
 // The server drains gracefully on SIGINT/SIGTERM: new connections are
 // refused, in-flight requests complete, dirty stores are checkpointed
@@ -80,14 +66,13 @@
 //	open  <name> <dtd-file> [root]      install a store from a DTD
 //	load  <doc.xml>...                  load documents, print DocIDs
 //	bulkload <doc.xml>...               pipelined bulk ingest: one BULKLOAD
-//	                                    batch (client -j/-batch-docs/
-//	                                    -batch-bytes/-keep-going apply)
+//	                                    request with the server's defaults
 //	sql   <statement>                   run SQL (or read from stdin with -)
 //	xpath <path>                        translate + run an XPath
 //	retrieve <docid>                    print a reconstructed document
 //	delete   <docid>                    delete a document
 //
-// Client flags: -addr, -store (target store name), -timeout.
+// Client flags: -addr, -store (target store name).
 package main
 
 import (
@@ -98,7 +83,6 @@ import (
 	"io"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"strconv"
 	"strings"
 	"syscall"
@@ -151,69 +135,40 @@ func runServe(args []string, out io.Writer) error {
 		durability   = fs.String("durability", "", `WAL sync policy for -snapshot-dir: "always" (default), "interval" or "never"`)
 		walSyncInt   = fs.Duration("wal-sync-interval", 0, `WAL flush period under -durability interval`)
 		walSegBytes  = fs.Int64("wal-segment-bytes", 0, "WAL segment size cap before rotation (0 = default 4MiB)")
-		idleTimeout  = fs.Duration("idle-timeout", 5*time.Minute, "session idle timeout")
-		reqTimeout   = fs.Duration("request-timeout", 0, "per-request execution limit (0 = none)")
-		maxRequest   = fs.Int("max-request", wire.DefaultMaxFrame, "request frame size limit")
 		replicaOf    = fs.String("replica-of", "", "primary address: start as a read replica")
-		chainOf      = fs.String("chain-of", "", "replica address: start as a chained replica pulling from another replica")
 		advertise    = fs.String("advertise", "", "address peers dial to reach this server (default: the bound listener address)")
 		electionTO   = fs.Duration("election-timeout", 0, "enable automatic failover: hold an election when the primary's lease is silent this long (0 = manual PROMOTE only)")
 		leaseInt     = fs.Duration("lease-interval", 0, "lease heartbeat / failover poll cadence (default election-timeout/4)")
 		syncAcks     = fs.Int("repl-sync-acks", 0, "hold each write until this many replicas durably ack it (0 = async)")
 		syncTimeout  = fs.Duration("repl-sync-timeout", 0, "semi-sync ack wait limit (default 5s)")
-		readWait     = fs.Duration("read-wait", 0, "max wait for a read carrying wait_lsn to catch up (default 2s)")
-		replMaxLag   = fs.Uint64("repl-max-lag", 0, "drop replicas more than this many WAL records behind (0 = never)")
 		replHB       = fs.Duration("repl-heartbeat", 0, "replication stream heartbeat interval")
 		replRetry    = fs.Duration("repl-retry", 0, "replica reconnect backoff (doubles up to a 10s cap)")
-		replRefresh  = fs.Duration("repl-store-refresh", 0, "how often a replica re-polls the primary's store list")
-		shards       = fs.Int("shards", 0, "embedded sharding: boot N in-process shard servers and route -addr over them")
 		shardIndex   = fs.Int("shard-index", 0, "this server's 0-based slot in a sharded topology (with -shard-count)")
 		shardCount   = fs.Int("shard-count", 0, "shard topology size this server belongs to (0 = unsharded)")
-		ingWorkers   = fs.Int("ingest-workers", 0, "default BULKLOAD pipeline workers (0 = GOMAXPROCS)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *ingWorkers < 0 {
-		return fmt.Errorf("-ingest-workers must be >= 0 (0 = GOMAXPROCS), got %d", *ingWorkers)
-	}
 	cfg := server.Config{
-		MaxRequestBytes:   *maxRequest,
-		RequestTimeout:    *reqTimeout,
-		IdleTimeout:       *idleTimeout,
-		SnapshotDir:       *snapDir,
-		SnapshotInterval:  *snapInterval,
-		Durability:        *durability,
-		WALSyncInterval:   *walSyncInt,
-		WALSegmentBytes:   *walSegBytes,
-		StatsAddr:         *statsAddr,
-		ReplicaOf:         *replicaOf,
-		ChainOf:           *chainOf,
-		Advertise:         *advertise,
-		ElectionTimeout:   *electionTO,
-		LeaseInterval:     *leaseInt,
-		ReplSyncAcks:      *syncAcks,
-		ReplSyncTimeout:   *syncTimeout,
-		ReadWait:          *readWait,
-		ReplMaxLagRecords: *replMaxLag,
-		ReplHeartbeat:     *replHB,
-		ReplRetry:         *replRetry,
-		ReplStoreRefresh:  *replRefresh,
-		ShardIndex:        *shardIndex,
-		ShardCount:        *shardCount,
-		IngestWorkers:     *ingWorkers,
+		SnapshotDir:      *snapDir,
+		SnapshotInterval: *snapInterval,
+		Durability:       *durability,
+		WALSyncInterval:  *walSyncInt,
+		WALSegmentBytes:  *walSegBytes,
+		StatsAddr:        *statsAddr,
+		ReplicaOf:        *replicaOf,
+		Advertise:        *advertise,
+		ElectionTimeout:  *electionTO,
+		LeaseInterval:    *leaseInt,
+		ReplSyncAcks:     *syncAcks,
+		ReplSyncTimeout:  *syncTimeout,
+		ReplHeartbeat:    *replHB,
+		ReplRetry:        *replRetry,
+		ShardIndex:       *shardIndex,
+		ShardCount:       *shardCount,
 		Logf: func(format string, a ...any) {
 			fmt.Fprintf(os.Stderr, "xmlordbd: "+format+"\n", a...)
 		},
-	}
-	if *shards > 1 {
-		if *replicaOf != "" || *chainOf != "" || *electionTO > 0 || *syncAcks > 0 {
-			return fmt.Errorf("-shards is incompatible with the replication flags; replicate each shard server individually instead")
-		}
-		if *shardCount != 0 {
-			return fmt.Errorf("-shards (embedded) and -shard-count (standalone shard identity) are mutually exclusive")
-		}
-		return runEmbeddedShards(*shards, *addr, cfg, *dtdFile, *root, *name, out)
 	}
 	if *shardCount > 1 && (*shardIndex < 0 || *shardIndex >= *shardCount) {
 		return fmt.Errorf("-shard-index %d out of range for -shard-count %d", *shardIndex, *shardCount)
@@ -226,7 +181,7 @@ func runServe(args []string, out io.Writer) error {
 	if restored > 0 {
 		fmt.Fprintf(out, "restored %d store(s) from %s: %v\n", restored, *snapDir, srv.StoreNames())
 	}
-	if *dtdFile != "" && *replicaOf == "" && *chainOf == "" {
+	if *dtdFile != "" && *replicaOf == "" {
 		if hosted := srv.StoreNames(); !contains(hosted, *name) {
 			dtdText, err := os.ReadFile(*dtdFile)
 			if err != nil {
@@ -246,13 +201,16 @@ func runServe(args []string, out io.Writer) error {
 	defer stop()
 	errc := make(chan error, 1)
 	go func() { errc <- srv.ListenAndServe(*addr) }()
-	// Wait until the listener is bound so the address prints truthfully.
+	// Wait until the listeners are bound so the addresses print truthfully.
 	for srv.Addr() == nil {
 		select {
 		case err := <-errc:
 			return err
 		case <-time.After(5 * time.Millisecond):
 		}
+	}
+	if a := srv.StatsAddr(); a != nil {
+		fmt.Fprintf(out, "stats on %s (GET /stats)\n", a)
 	}
 	fmt.Fprintf(out, "listening on %s as %s (stores: %v)\n", srv.Addr(), srv.Role(), srv.StoreNames())
 
@@ -271,91 +229,13 @@ func runServe(args []string, out io.Writer) error {
 	}
 }
 
-// runEmbeddedShards boots n in-process shard servers on loopback
-// ephemeral ports — each a full server with its own stores, WAL
-// directory (<snapshot-dir>/shard-<i>) and commit path — and serves
-// addr with a scatter-gather router over them. One process, n
-// independent write pipelines.
-func runEmbeddedShards(n int, addr string, cfg server.Config, dtdFile, root, name string, out io.Writer) error {
-	cfg.StatsAddr = "" // one HTTP port cannot serve n shards; use STATS via the router
-	var dtdText string
-	if dtdFile != "" {
-		data, err := os.ReadFile(dtdFile)
-		if err != nil {
-			return err
-		}
-		dtdText = string(data)
-	}
-
-	servers := make([]*server.Server, n)
-	addrs := make([]string, n)
-	for i := 0; i < n; i++ {
-		scfg := cfg
-		scfg.ShardIndex = i
-		scfg.ShardCount = n
-		if cfg.SnapshotDir != "" {
-			scfg.SnapshotDir = filepath.Join(cfg.SnapshotDir, fmt.Sprintf("shard-%d", i))
-			if err := os.MkdirAll(scfg.SnapshotDir, 0o755); err != nil {
-				return err
-			}
-		}
-		srv := server.New(scfg)
-		restored, err := srv.RestoreDir()
-		if err != nil {
-			return fmt.Errorf("shard %d: %w", i, err)
-		}
-		if restored > 0 {
-			fmt.Fprintf(out, "shard %d: restored %d store(s): %v\n", i, restored, srv.StoreNames())
-		}
-		if dtdText != "" && !contains(srv.StoreNames(), name) {
-			if err := srv.OpenStore(name, dtdText, root, xmlordb.Config{}); err != nil {
-				return fmt.Errorf("shard %d: opening store %s: %w", i, name, err)
-			}
-		}
-		errc := make(chan error, 1)
-		go func() { errc <- srv.ListenAndServe("127.0.0.1:0") }()
-		for srv.Addr() == nil {
-			select {
-			case err := <-errc:
-				return fmt.Errorf("shard %d: %w", i, err)
-			case <-time.After(5 * time.Millisecond):
-			}
-		}
-		servers[i] = srv
-		addrs[i] = srv.Addr().String()
-	}
-
-	r, err := shard.NewRouter(shard.Config{
-		Addrs:           addrs,
-		MaxRequestBytes: cfg.MaxRequestBytes,
-		IdleTimeout:     cfg.IdleTimeout,
-		Logf: func(format string, a ...any) {
-			fmt.Fprintf(os.Stderr, "xmlordbd: "+format+"\n", a...)
-		},
-	})
-	if err != nil {
-		return err
-	}
-	return serveRouter(r, addr, out, func(ctx context.Context) {
-		for i, srv := range servers {
-			if err := srv.Shutdown(ctx); err != nil {
-				fmt.Fprintf(os.Stderr, "xmlordbd: shard %d shutdown: %v\n", i, err)
-			}
-		}
-	})
-}
-
-// runRouter serves a standalone scatter-gather router over remote shard
-// servers given as positional arguments, index-aligned: the first
-// address is shard 0, and every router fronting the same shards must
-// list them in the same order.
+// runRouter serves a scatter-gather router over the shard servers given
+// as positional arguments, index-aligned: the first address is shard 0,
+// and every router fronting the same shards must list them in the same
+// order. It runs until SIGINT/SIGTERM, then drains.
 func runRouter(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("router", flag.ContinueOnError)
-	var (
-		addr        = fs.String("addr", ":7799", "TCP listen address")
-		idleTimeout = fs.Duration("idle-timeout", 5*time.Minute, "client session idle timeout")
-		maxRequest  = fs.Int("max-request", wire.DefaultMaxFrame, "request frame size limit")
-	)
+	addr := fs.String("addr", ":7799", "TCP listen address")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -364,9 +244,7 @@ func runRouter(args []string, out io.Writer) error {
 		return fmt.Errorf("usage: router [flags] <shard-addr>... (shard order is the topology)")
 	}
 	r, err := shard.NewRouter(shard.Config{
-		Addrs:           shardAddrs,
-		MaxRequestBytes: *maxRequest,
-		IdleTimeout:     *idleTimeout,
+		Addrs: shardAddrs,
 		Logf: func(format string, a ...any) {
 			fmt.Fprintf(os.Stderr, "xmlordbd: "+format+"\n", a...)
 		},
@@ -374,16 +252,11 @@ func runRouter(args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	return serveRouter(r, *addr, out, nil)
-}
 
-// serveRouter runs a router until SIGINT/SIGTERM, then drains it and
-// runs the optional shard teardown (embedded mode).
-func serveRouter(r *shard.Router, addr string, out io.Writer, teardown func(ctx context.Context)) error {
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()
 	errc := make(chan error, 1)
-	go func() { errc <- r.ListenAndServe(addr) }()
+	go func() { errc <- r.ListenAndServe(*addr) }()
 	for r.Addr() == nil {
 		select {
 		case err := <-errc:
@@ -403,9 +276,6 @@ func serveRouter(r *shard.Router, addr string, out io.Writer, teardown func(ctx 
 		if err := r.Shutdown(shutdownCtx); err != nil {
 			return fmt.Errorf("shutdown: %w", err)
 		}
-		if teardown != nil {
-			teardown(shutdownCtx)
-		}
 		fmt.Fprintln(out, "bye")
 		return nil
 	}
@@ -423,18 +293,13 @@ func contains(xs []string, s string) bool {
 func runClient(args []string, out io.Writer, repl bool) error {
 	fs := flag.NewFlagSet("client", flag.ContinueOnError)
 	var (
-		addr       = fs.String("addr", "127.0.0.1:7788", "server address")
-		store      = fs.String("store", "", "target store name")
-		timeout    = fs.Duration("timeout", 30*time.Second, "per-call timeout")
-		jobs       = fs.Int("j", 0, "bulkload: pipeline workers (0 = server default)")
-		batchDocs  = fs.Int("batch-docs", 0, "bulkload: documents per commit batch (0 = server default)")
-		batchBytes = fs.Int64("batch-bytes", 0, "bulkload: XML bytes per commit batch (0 = server default)")
-		keepGoing  = fs.Bool("keep-going", false, "bulkload: report per-document errors and keep loading")
+		addr  = fs.String("addr", "127.0.0.1:7788", "server address")
+		store = fs.String("store", "", "target store name")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	c, err := client.Dial(*addr, client.WithTimeout(*timeout))
+	c, err := client.Dial(*addr)
 	if err != nil {
 		return err
 	}
@@ -462,15 +327,10 @@ func runClient(args []string, out io.Writer, repl bool) error {
 	if len(rest) == 0 {
 		return fmt.Errorf("missing client verb")
 	}
-	return clientVerb(ctx, c, rest, out, client.BulkOptions{
-		Workers:    *jobs,
-		BatchDocs:  *batchDocs,
-		BatchBytes: *batchBytes,
-		KeepGoing:  *keepGoing,
-	})
+	return clientVerb(ctx, c, rest, out)
 }
 
-func clientVerb(ctx context.Context, c *client.Client, args []string, out io.Writer, bulkOpts client.BulkOptions) error {
+func clientVerb(ctx context.Context, c *client.Client, args []string, out io.Writer) error {
 	verb, rest := strings.ToLower(args[0]), args[1:]
 	switch verb {
 	case "ping":
@@ -529,7 +389,7 @@ func clientVerb(ctx context.Context, c *client.Client, args []string, out io.Wri
 			}
 			docs[i] = wire.BulkDoc{Name: f, XML: string(xmlText)}
 		}
-		bulk, err := c.BulkLoad(ctx, docs, bulkOpts)
+		bulk, err := c.BulkLoad(ctx, docs, client.BulkOptions{})
 		if bulk != nil {
 			for _, dr := range bulk.Docs {
 				if dr.Error != "" {
@@ -822,7 +682,7 @@ func runRepl(ctx context.Context, c *client.Client, out io.Writer) error {
 		case "sql":
 			err = runSQL(ctx, c, strings.TrimSpace(strings.TrimPrefix(line, fields[0])), out)
 		default:
-			err = clientVerb(ctx, c, fields, out, client.BulkOptions{})
+			err = clientVerb(ctx, c, fields, out)
 		}
 		if err != nil {
 			fmt.Fprintln(out, "error:", err)

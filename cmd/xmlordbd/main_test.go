@@ -24,15 +24,22 @@ const uniDTD = `
 
 const uniDoc = `<University><StudyCourse>CS</StudyCourse><Student StudNr="1"><LName>Conrad</LName><FName>M</FName></Student></University>`
 
-func startTestServer(t *testing.T) string {
+// startTestServer serves one in-memory store per name on loopback and
+// returns the address.
+func startTestServer(t *testing.T, names ...string) string {
 	t.Helper()
-	srv := server.New(server.Config{})
-	st, err := xmlordb.Open(uniDTD, "University", xmlordb.Config{})
-	if err != nil {
-		t.Fatal(err)
+	if len(names) == 0 {
+		names = []string{"uni"}
 	}
-	if err := srv.AddStore("uni", st); err != nil {
-		t.Fatal(err)
+	srv := server.New(server.Config{})
+	for _, name := range names {
+		st, err := xmlordb.Open(uniDTD, "University", xmlordb.Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := srv.AddStore(name, st); err != nil {
+			t.Fatal(err)
+		}
 	}
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -47,18 +54,30 @@ func startTestServer(t *testing.T) string {
 	return ln.Addr().String()
 }
 
-func TestCLIClientVerbs(t *testing.T) {
-	addr := startTestServer(t)
-	docFile := filepath.Join(t.TempDir(), "doc.xml")
-	if err := os.WriteFile(docFile, []byte(uniDoc), 0o644); err != nil {
+// writeFile writes text to name in a fresh temporary directory and
+// returns the path.
+func writeFile(t *testing.T, name, text string) string {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), name)
+	if err := os.WriteFile(path, []byte(text), 0o644); err != nil {
 		t.Fatal(err)
 	}
+	return path
+}
 
-	runCLI := func(args ...string) (string, error) {
+// clientCLI runs `xmlordbd client -addr addr args...` in process.
+func clientCLI(addr string) func(args ...string) (string, error) {
+	return func(args ...string) (string, error) {
 		var sb strings.Builder
 		err := run(append([]string{"client", "-addr", addr}, args...), &sb)
 		return sb.String(), err
 	}
+}
+
+func TestCLIClientVerbs(t *testing.T) {
+	addr := startTestServer(t)
+	docFile := writeFile(t, "doc.xml", uniDoc)
+	runCLI := clientCLI(addr)
 
 	if out, err := runCLI("ping"); err != nil || !strings.Contains(out, "pong") {
 		t.Fatalf("ping: %q, %v", out, err)
@@ -90,6 +109,61 @@ func TestCLIClientVerbs(t *testing.T) {
 	}
 	if _, err := runCLI("bogus"); err == nil {
 		t.Fatal("unknown verb accepted")
+	}
+}
+
+const lnamesSQL = "SELECT st.attrLName FROM TabUniversity u, TABLE(u.attrStudent) st"
+
+// -store picks the store a one-shot client talks to on a server hosting
+// several, where no store is the default.
+func TestCLIClientStore(t *testing.T) {
+	addr := startTestServer(t, "uni", "second")
+	runCLI := clientCLI(addr)
+	uniFile := writeFile(t, "uni.xml", uniDoc)
+	secondFile := writeFile(t, "second.xml", strings.ReplaceAll(uniDoc, "Conrad", "Second"))
+	if out, err := runCLI("-store", "uni", "load", uniFile); err != nil {
+		t.Fatalf("load into uni: %q, %v", out, err)
+	}
+	if out, err := runCLI("-store", "second", "load", secondFile); err != nil {
+		t.Fatalf("load into second: %q, %v", out, err)
+	}
+
+	out, err := runCLI("-store", "second", "sql", lnamesSQL)
+	if err != nil || !strings.Contains(out, "Second") || strings.Contains(out, "Conrad") {
+		t.Fatalf("sql on -store second: %q, %v", out, err)
+	}
+	if out, err := runCLI("sql", lnamesSQL); err == nil {
+		t.Fatalf("sql without -store on a two-store server answered %q", out)
+	}
+	if _, err := runCLI("-store", "nosuch", "ping"); err == nil {
+		t.Fatal("-store naming an unknown store accepted")
+	}
+}
+
+// bulkload sends its files as one BULKLOAD request with the server's
+// defaults: every document loads, or the first bad one fails the
+// command by name.
+func TestCLIBulkload(t *testing.T) {
+	addr := startTestServer(t)
+	runCLI := clientCLI(addr)
+	a := writeFile(t, "a.xml", uniDoc)
+	b := writeFile(t, "b.xml", strings.ReplaceAll(uniDoc, "Conrad", "Bulk"))
+
+	out, err := runCLI("bulkload", a, b)
+	if err != nil || !strings.Contains(out, "loaded 2, failed 0") {
+		t.Fatalf("bulkload of two valid files: %q, %v", out, err)
+	}
+	if out, err := runCLI("sql", lnamesSQL); err != nil || !strings.Contains(out, "(2 row(s))") {
+		t.Fatalf("after bulkload: %q, %v", out, err)
+	}
+
+	bad := writeFile(t, "bad.xml", `<University><Student StudNr="9"><LName>NoCourse</LName><FName>F</FName></Student></University>`)
+	out, err = runCLI("bulkload", a, bad)
+	if err == nil {
+		t.Fatalf("bulkload with an invalid file succeeded: %q", out)
+	}
+	if !strings.Contains(out+err.Error(), bad) {
+		t.Fatalf("bulkload failure does not name %s: %q, %v", bad, out, err)
 	}
 }
 

@@ -12,11 +12,6 @@ import (
 	"xmlordb/internal/wire"
 )
 
-// ErrLagCutoff reports a replica dropped because its backlog exceeded
-// the feeder's max-lag budget; the replica was told to resync from a
-// snapshot so retention could move on without it.
-var ErrLagCutoff = errors.New("repl: replica exceeded max lag, resync requested")
-
 // DefaultHeartbeat is the feeder's idle heartbeat interval.
 const DefaultHeartbeat = time.Second
 
@@ -43,8 +38,8 @@ type FeederConfig struct {
 	// new timeline without a reconnect.
 	EpochNow func() (uint64, []wire.EpochStart)
 	// Primary, when non-nil, returns the writable primary's advertised
-	// address for heartbeat lease metadata. On a chained feeder this is
-	// the ultimate primary, not the feeder itself.
+	// address for heartbeat lease metadata. On a feeding replica this is
+	// the primary it knows of, not the feeder itself.
 	Primary func() string
 	// Peers, when non-nil, returns the cluster member list for
 	// heartbeat lease metadata.
@@ -66,12 +61,6 @@ type FeederConfig struct {
 	// replica. 0 = wire.ReplUnitChunk. Tests use tiny values to
 	// exercise the chunk path.
 	UnitChunkBytes int
-	// MaxLagRecords drops a replica whose acked position trails the
-	// primary's last LSN by more than this many records: the feeder
-	// releases its retention pin, sends a resync frame and closes, and
-	// the replica comes back through a snapshot transfer. 0 = no cutoff
-	// (a dead replica pins retention forever — only for tests).
-	MaxLagRecords uint64
 	// Heartbeat is the idle heartbeat interval (DefaultHeartbeat if 0).
 	Heartbeat time.Duration
 	// Status, when non-nil, is updated live for the STATS registry.
@@ -126,8 +115,9 @@ func (fs *FeedStatus) AckedLSN() uint64 { return fs.acked.Load() }
 // position, serves a checkpoint snapshot transfer when the replica is
 // empty, diverged (by LSN or by epoch), or behind the retention
 // horizon, then streams commit units and heartbeats until the stream
-// fails, stop closes, or the replica exceeds the lag budget. The
-// returned error describes why the stream ended (nil = stop requested).
+// fails or stop closes. The retention pin lives exactly as long as the
+// stream: a replica that disconnects releases it. The returned error
+// describes why the stream ended (nil = stop requested).
 func ServeFeed(w io.Writer, br *bufio.Reader, lastApplied, lastEpoch uint64, stop <-chan struct{}, cfg FeederConfig) error {
 	lg := logf(cfg.Logf)
 	fs := cfg.Status
@@ -280,16 +270,6 @@ func ServeFeed(w io.Writer, br *bufio.Reader, lastApplied, lastEpoch uint64, sto
 			fs.sentBytes.Add(int64(bytes))
 		}
 		from = next
-
-		if cfg.MaxLagRecords > 0 {
-			if acked := fs.acked.Load(); primaryLSN > acked && primaryLSN-acked > cfg.MaxLagRecords {
-				lg("repl feed %s: lag %d records exceeds budget %d, dropping to resync",
-					fs.Addr, primaryLSN-acked, cfg.MaxLagRecords)
-				pin.Release() // let retention advance past the straggler
-				_ = wire.WriteFrame(w, &wire.ReplFrame{Type: wire.ReplResync})
-				return ErrLagCutoff
-			}
-		}
 		if len(units) > 0 {
 			continue // drain the backlog before parking
 		}

@@ -46,9 +46,6 @@ type ReplicaConfig struct {
 	// because the replica's listener may not be bound yet when
 	// replication starts.
 	Advertise func() string
-	// Chained marks a replica-of-replica follower: the handshake tells
-	// the upstream not to count us as an election-eligible member.
-	Chained bool
 	// OnLeaseMeta, when non-nil, receives the lease metadata carried by
 	// upstream heartbeats: the writable primary's address and the
 	// cluster member list. The server uses it to persist membership and
@@ -160,9 +157,9 @@ func (st *Status) Report(store string, applied uint64) wire.ReplStoreStats {
 // stream — snapshot transfers reset the store, commit units append and
 // apply, every durable step is acked. Connection failures back off
 // exponentially (with jitter, so a flapping primary is not hammered in
-// lockstep by every replica) and reconnect; a resync frame, apply
-// error, or divergence reconnects with LSN 0 to force a snapshot
-// transfer. Run returns when stop closes.
+// lockstep by every replica) and reconnect; an apply error or
+// divergence reconnects with LSN 0 to force a snapshot transfer. Run
+// returns when stop closes.
 func Run(stop <-chan struct{}, cfg ReplicaConfig) {
 	lg := logf(cfg.Logf)
 	st := cfg.Status
@@ -264,8 +261,7 @@ func streamOnce(stop <-chan struct{}, cfg ReplicaConfig, st *Status,
 	if cfg.Advertise != nil {
 		advertise = cfg.Advertise()
 	}
-	req := &wire.Request{Verb: wire.VerbReplicate, Name: cfg.Store, LSN: lsn, Epoch: epoch,
-		Addr: advertise, Chained: cfg.Chained}
+	req := &wire.Request{Verb: wire.VerbReplicate, Name: cfg.Store, LSN: lsn, Epoch: epoch, Addr: advertise}
 	if err := wire.WriteFrame(conn, req); err != nil {
 		return false, false, fmt.Errorf("handshake: %w", err)
 	}
@@ -436,8 +432,6 @@ func streamOnce(stop <-chan struct{}, cfg ReplicaConfig, st *Status,
 					return false, streamed, err
 				}
 			}
-		case wire.ReplResync:
-			return true, streamed, fmt.Errorf("primary requested resync (fell behind retention)")
 		case wire.ReplError:
 			return false, streamed, fmt.Errorf("primary error: %s", f.Error)
 		}

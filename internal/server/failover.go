@@ -4,7 +4,7 @@
 // commit ack machinery.
 //
 // One role-agnostic loop per server (started by Serve when
-// -election-timeout is set and the node is not a chained replica):
+// -election-timeout is set):
 //
 //   - As a replica, it watches the upstream lease — the newest frame
 //     received across all store streams. On expiry it probes every
@@ -161,11 +161,11 @@ func (s *Server) loadPeers() {
 
 // onLeaseMeta ingests a heartbeat's lease metadata on the replica side:
 // the primary's identity and member list are adopted (and persisted),
-// and a non-chained replica that learns of a primary other than its
-// upstream verifies the claim and retargets — this is how election
-// losers converge on the winner, and how a chain's tail keeps pointing
-// at its configured upstream while still learning who the real primary
-// is (for read-your-writes redirects).
+// and a replica that learns of a primary other than its upstream
+// verifies the claim and retargets — this is how election losers
+// converge on the winner. A claim that does not verify (the named
+// primary is down) leaves the replica on its upstream, still
+// redirecting writes to the named primary.
 func (s *Server) onLeaseMeta(primary string, peers []string) {
 	s.mu.Lock()
 	changed := false
@@ -173,22 +173,22 @@ func (s *Server) onLeaseMeta(primary string, peers []string) {
 		s.knownPrimary = primary
 		changed = true
 	}
-	// Union-merge, never replace: a relaying upstream (a mid-chain
-	// replica, or a node with a partial view during an interregnum) may
-	// know fewer members than we do, and adopting its list wholesale
-	// would erase quorum knowledge that elections depend on.
+	// Union-merge, never replace: a relaying upstream (a node with a
+	// partial view during an interregnum) may know fewer members than we
+	// do, and adopting its list wholesale would erase quorum knowledge
+	// that elections depend on.
 	for _, p := range peers {
 		if _, ok := s.members[p]; !ok {
 			s.members[p] = struct{}{}
 			changed = true
 		}
 	}
-	replica, chained, up := s.replica, s.chained, s.upstream
+	replica, up := s.replica, s.upstream
 	s.mu.Unlock()
 	if changed {
 		s.savePeers()
 	}
-	if replica && !chained && primary != "" && primary != up && primary != s.advertiseAddr() {
+	if replica && primary != "" && primary != up && primary != s.advertiseAddr() {
 		go s.maybeRetarget(primary)
 	}
 }
@@ -198,7 +198,7 @@ func (s *Server) onLeaseMeta(primary string, peers []string) {
 // of heartbeats that all report the same new primary.
 func (s *Server) maybeRetarget(target string) {
 	s.mu.Lock()
-	if s.retargeting || !s.replica || s.chained {
+	if s.retargeting || !s.replica {
 		s.mu.Unlock()
 		return
 	}
@@ -578,13 +578,7 @@ func (s *Server) selfPosition() repl.PeerPosition {
 // election-eligible, so this is the probe-time counterpart of handshake
 // membership: it heals asymmetric member views during an interregnum.
 func (s *Server) observeProber(addr string) {
-	if addr == "" || s.cfg.ElectionTimeout <= 0 {
-		return
-	}
-	s.mu.Lock()
-	chained := s.chained
-	s.mu.Unlock()
-	if chained || addr == s.advertiseAddr() {
+	if addr == "" || s.cfg.ElectionTimeout <= 0 || addr == s.advertiseAddr() {
 		return
 	}
 	s.addMember(addr)

@@ -23,32 +23,6 @@ func electCfg() Config {
 	}
 }
 
-// startChained boots a chained replica-of-replica follower of upAddr.
-func startChained(t *testing.T, upAddr string, cfg Config) (*Server, string) {
-	t.Helper()
-	if cfg.SnapshotDir == "" {
-		cfg.SnapshotDir = t.TempDir()
-	}
-	if cfg.Durability == "" {
-		cfg.Durability = "never"
-	}
-	cfg.ChainOf = upAddr
-	if cfg.ReplRetry == 0 {
-		cfg.ReplRetry = 20 * time.Millisecond
-	}
-	if cfg.ReplHeartbeat == 0 {
-		cfg.ReplHeartbeat = 50 * time.Millisecond
-	}
-	srv := New(cfg)
-	if _, err := srv.RestoreDir(); err != nil {
-		t.Fatal(err)
-	}
-	if err := srv.StartReplication(); err != nil {
-		t.Fatal(err)
-	}
-	return serveOn(t, srv)
-}
-
 // positionOf asks addr for its POSITION over a throwaway connection.
 func positionOf(t *testing.T, addr string) (repl.PeerPosition, []string, error) {
 	t.Helper()
@@ -300,49 +274,17 @@ func TestWaitLSNLaggingBudget(t *testing.T) {
 	}
 }
 
-// A chained replica (replica of a replica) converges through the middle
-// hop and still learns who the real primary is for write redirects.
-func TestChainedReplicaTopology(t *testing.T) {
-	primary, paddr := startPrimary(t, Config{})
-	pc := mustDial(t, paddr)
-	ctx := context.Background()
-	if _, err := pc.Load(ctx, "a.xml", uniDoc("A", 1)); err != nil {
-		t.Fatal(err)
-	}
-
-	_, maddr := startReplica(t, paddr, Config{})
-	mc := mustDial(t, maddr)
-	replicaCaughtUp(t, primary, mc)
-
-	_, taddr := startChained(t, maddr, Config{})
-	tc := mustDial(t, taddr)
-	replicaCaughtUp(t, primary, tc)
-
-	// More writes flow primary → middle → tail.
-	if _, err := pc.Load(ctx, "b.xml", uniDoc("B", 2)); err != nil {
-		t.Fatal(err)
-	}
-	replicaCaughtUp(t, primary, tc)
-	if got, want := studentCount(t, tc), studentCount(t, pc); got != want {
-		t.Errorf("chain tail has %d students, primary %d", got, want)
-	}
-
-	// The tail redirects writes to the real primary, not to its upstream
-	// middle hop: heartbeat lease metadata relays the primary's address
-	// down the chain.
-	waitFor(t, 10*time.Second, func() bool {
-		_, err := tc.Load(ctx, "x.xml", uniDoc("X", 9))
-		var ro *repl.ReadOnlyError
-		return errors.As(err, &ro) && ro.Primary == paddr
-	})
-}
-
-// A chained tail whose upstream promotes mid-stream adopts the new
-// timeline from heartbeat epoch metadata: its feed survives the
-// promotion, so without the mid-stream adopt it would keep the old
-// epoch label and be forced through a pointless snapshot re-seed at
-// its next handshake.
-func TestChainedTailAdoptsEpochMidStream(t *testing.T) {
+// A replica attached to another replica — what an election loser does
+// when it retargets onto the presumptive winner before that winner has
+// promoted — is served a feed by it, learns the primary's address from
+// its relayed heartbeats, and, when its upstream promotes mid-stream,
+// adopts the bumped epoch from heartbeat metadata. Its feed survives the
+// promotion, so without the mid-stream adopt it would keep the old epoch
+// label and be forced through a pointless snapshot re-seed at its next
+// handshake. The primary dies before the follower attaches: otherwise
+// the follower's retarget probe would find it alive and move the
+// follower there.
+func TestReplicaOfReplicaAdoptsEpochMidStream(t *testing.T) {
 	primary, paddr := startPrimary(t, Config{})
 	pc := mustDial(t, paddr)
 	ctx := context.Background()
@@ -354,15 +296,30 @@ func TestChainedTailAdoptsEpochMidStream(t *testing.T) {
 	mc := mustDial(t, maddr)
 	replicaCaughtUp(t, primary, mc)
 
-	_, taddr := startChained(t, maddr, Config{})
-	tc := mustDial(t, taddr)
-	replicaCaughtUp(t, primary, tc)
-
-	// Lose the primary, promote the middle hop. The tail stays attached
-	// to the middle across the promotion — same stream, same WAL.
 	sctx, cancel := context.WithTimeout(ctx, 10*time.Second)
 	primary.Shutdown(sctx)
 	cancel()
+
+	follower, faddr := startReplica(t, maddr, Config{})
+	fc := mustDial(t, faddr)
+	replicaCaughtUp(t, middle, fc)
+	if got, want := studentCount(t, fc), studentCount(t, mc); got != want {
+		t.Errorf("follower has %d students, middle %d", got, want)
+	}
+	// The middle relays the primary's address: the follower redirects
+	// writes there, and its retarget probe failed, so it is still
+	// attached to the middle.
+	waitFor(t, 10*time.Second, func() bool {
+		_, err := fc.Load(ctx, "x.xml", uniDoc("X", 9))
+		var ro *repl.ReadOnlyError
+		return errors.As(err, &ro) && ro.Primary == paddr
+	})
+	if up := follower.currentUpstream(); up != maddr {
+		t.Fatalf("follower replicates from %s, want the middle %s", up, maddr)
+	}
+
+	// Promote the middle. The follower stays attached across the
+	// promotion — same stream, same WAL.
 	if _, _, err := mc.Promote(ctx); err != nil {
 		t.Fatal(err)
 	}
@@ -370,14 +327,14 @@ func TestChainedTailAdoptsEpochMidStream(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The tail converges on the post-promotion write AND on the bumped
-	// epoch, without reconnecting.
-	replicaCaughtUp(t, middle, tc)
-	if got, want := studentCount(t, tc), studentCount(t, mc); got != want {
-		t.Errorf("chain tail has %d students after promotion, middle %d", got, want)
+	// The follower converges on the post-promotion write AND on the
+	// bumped epoch, without reconnecting.
+	replicaCaughtUp(t, middle, fc)
+	if got, want := studentCount(t, fc), studentCount(t, mc); got != want {
+		t.Errorf("follower has %d students after promotion, middle %d", got, want)
 	}
 	waitFor(t, 10*time.Second, func() bool {
-		resp, err := tc.Position(ctx)
+		resp, err := fc.Position(ctx)
 		return err == nil && resp.Epoch == 2
 	})
 }

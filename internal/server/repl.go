@@ -43,7 +43,7 @@ func (s *Server) isReadOnly() bool {
 }
 
 // currentUpstream is the address this replica is pulling from. It starts
-// as ReplicaOf/ChainOf and changes when failover retargets the node.
+// as ReplicaOf and changes when failover retargets the node.
 func (s *Server) currentUpstream() string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -104,9 +104,11 @@ func (s *Server) unregisterFeed(e *feedEntry) {
 // replicate handles the REPLICATE verb: validate, register the replica,
 // and hand the connection over to the feeder. The OK response goes out
 // through the normal session write path; the returned takeover closure
-// then owns the socket until the stream ends. Replicas serve feeds too —
-// that is what makes chained replica-of-replica topologies work — and
-// relay the ultimate primary and peer list downstream in heartbeats.
+// then owns the socket until the stream ends. Replicas serve feeds too:
+// during an election interregnum a loser retargets onto the presumptive
+// winner before that winner has promoted, and keeps its stream across
+// the promotion. A replica's heartbeats relay the primary and peer list
+// it knows.
 func (ss *session) replicate(req *wire.Request) *wire.Response {
 	s := ss.srv
 	if req.Name == "" {
@@ -116,10 +118,10 @@ func (ss *session) replicate(req *wire.Request) *wire.Response {
 	if hs == nil {
 		return fail(wire.CodeNoStore, "unknown store %q", req.Name)
 	}
-	// Lock-free handshake reads via the published ref: a mid-chain
-	// replica can serve REPLICATE while its own store is being re-seeded.
-	// A stale view is fine — the swap closes the old store, this feed
-	// dies with it, and the downstream replica reconnects fresh.
+	// Lock-free handshake reads via the published ref: a replica can
+	// serve REPLICATE while its own store is being re-seeded. A stale
+	// view is fine — the swap closes the old store, this feed dies with
+	// it, and the downstream replica reconnects fresh.
 	store := hs.current()
 	log := store.WAL()
 	if log == nil {
@@ -131,9 +133,8 @@ func (ss *session) replicate(req *wire.Request) *wire.Response {
 	// handshake members too: during an interregnum an election loser
 	// retargets onto the presumptive winner before it has promoted, and
 	// that handshake is how the winner learns enough members to see a
-	// quorum. Chained replicas stay out of the list — they follow their
-	// configured upstream and never stand.
-	if req.Addr != "" && !req.Chained {
+	// quorum.
+	if req.Addr != "" {
 		s.addMember(req.Addr)
 	}
 	fs := &repl.FeedStatus{Addr: ss.conn.RemoteAddr().String()}
@@ -157,14 +158,13 @@ func (ss *session) replicate(req *wire.Request) *wire.Response {
 				st := hs.current()
 				return st.Epoch(), toWireEpochs(st.EpochHistory())
 			},
-			MaxLagRecords: s.cfg.ReplMaxLagRecords,
-			Heartbeat:     s.cfg.replHeartbeat(),
-			Primary:       s.currentPrimaryAddr,
-			Peers:         s.memberList,
-			LeaseFresh:    s.leaseRooted,
-			OnAck:         func(uint64) { s.broadcastAck() },
-			Status:        fs,
-			Logf:          s.cfg.Logf,
+			Heartbeat:  s.cfg.replHeartbeat(),
+			Primary:    s.currentPrimaryAddr,
+			Peers:      s.memberList,
+			LeaseFresh: s.leaseRooted,
+			OnAck:      func(uint64) { s.broadcastAck() },
+			Status:     fs,
+			Logf:       s.cfg.Logf,
 		}
 		if err := repl.ServeFeed(ss.conn, ss.br, lastApplied, lastEpoch, s.feedStop, cfg); err != nil {
 			s.cfg.logf("repl feed %s -> %s: %v", hs.name, fs.Addr, err)
@@ -272,8 +272,8 @@ func (a *storeApplier) ResetFromSnapshot(lsn, epoch uint64, history []wire.Epoch
 		hs.mu.Lock()
 		defer hs.mu.Unlock()
 		// Close first: the bootstrap wipes the directory the old store's
-		// log still has open. A downstream chained replica feeding off the
-		// old store's WAL loses its stream here and reconnects against the
+		// log still has open. A downstream replica feeding off the old
+		// store's WAL loses its stream here and reconnects against the
 		// fresh one — self-healing, at the cost of one resync.
 		hs.store.Close()
 		st, err := xmlordb.BootstrapDirFromSnapshot(a.dir, lsn, epoch, hist, snapshot, a.opts)
@@ -313,21 +313,17 @@ func (a *storeApplier) AdoptEpoch(epoch uint64, history []wire.EpochStart) error
 const DefaultReplStoreRefresh = 5 * time.Second
 
 // StartReplication puts the server in replica role and begins pulling
-// every one of the upstream's stores (the primary for -replica-of, a
-// fellow replica for -chain-of). The store list is fetched from the
-// upstream (with retries — it may still be booting) and then re-queried
-// periodically, so a store OPENed after the replica connected is picked
-// up and replicated too; each store gets its own applier goroutine that
-// streams, applies and reconnects until shutdown or promotion. Call
-// after RestoreDir so locally recovered stores resume from their applied
-// position instead of a full snapshot transfer.
+// every one of the ReplicaOf upstream's stores. The store list is
+// fetched from the upstream (with retries — it may still be booting) and
+// then re-queried periodically, so a store OPENed after the replica
+// connected is picked up and replicated too; each store gets its own
+// applier goroutine that streams, applies and reconnects until shutdown
+// or promotion. Call after RestoreDir so locally recovered stores resume
+// from their applied position instead of a full snapshot transfer.
 func (s *Server) StartReplication() error {
-	up := s.cfg.upstreamAddr()
+	up := s.cfg.ReplicaOf
 	if up == "" {
 		return nil
-	}
-	if s.cfg.ReplicaOf != "" && s.cfg.ChainOf != "" {
-		return fmt.Errorf("server: -replica-of and -chain-of are mutually exclusive")
 	}
 	if s.cfg.SnapshotDir == "" {
 		return fmt.Errorf("server: replica mode needs a data directory")
@@ -337,7 +333,6 @@ func (s *Server) StartReplication() error {
 	}
 	s.mu.Lock()
 	s.replica = true
-	s.chained = s.cfg.ChainOf != ""
 	s.upstream = up
 	s.mu.Unlock()
 	s.loadPeers()
@@ -381,7 +376,7 @@ func (s *Server) startReplicationLocked() {
 		// address (anonymous replicas are invisible to elections), so wait
 		// for the listener to bind before the first connection — and no
 		// longer: until this replica attaches, no other member knows it.
-		if s.cfg.ElectionTimeout > 0 && s.cfg.ChainOf == "" && s.cfg.Advertise == "" {
+		if s.cfg.ElectionTimeout > 0 && s.cfg.Advertise == "" {
 			select {
 			case <-stop:
 				return
@@ -439,7 +434,6 @@ func (s *Server) ensureApplier(name, up string, stop chan struct{}, opts xmlordb
 		status: &repl.Status{},
 	}
 	s.appliers[key] = a
-	chained := s.chained
 	s.mu.Unlock()
 	s.cfg.logf("repl: replicating store %q from %s", name, up)
 	s.replWg.Add(1)
@@ -452,7 +446,6 @@ func (s *Server) ensureApplier(name, up string, stop chan struct{}, opts xmlordb
 			Status:      a.status,
 			Retry:       s.cfg.ReplRetry,
 			Advertise:   s.advertiseAddr,
-			Chained:     chained,
 			OnLeaseMeta: s.onLeaseMeta,
 			Logf:        s.cfg.Logf,
 		})

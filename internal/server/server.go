@@ -77,7 +77,7 @@ type Config struct {
 	// cost of more files.
 	WALSegmentBytes int64
 	// StatsAddr, when set, serves GET /stats (the wire.Stats payload as
-	// JSON) on a separate HTTP listener.
+	// JSON) on a separate HTTP listener. Serve fails if it cannot bind.
 	StatsAddr string
 	// ReplicaOf, when set, starts the server as a read replica of the
 	// primary at this address: every primary store is streamed and
@@ -85,13 +85,6 @@ type Config struct {
 	// PROMOTE detaches the server into a standalone primary. Requires a
 	// SnapshotDir.
 	ReplicaOf string
-	// ChainOf, when set, starts the server as a chained replica pulling
-	// from another replica at this address instead of the primary. A
-	// chained replica serves reads and feeds further replicas but never
-	// stands for election and never retargets: it follows its configured
-	// upstream wherever that upstream's chain leads. Mutually exclusive
-	// with ReplicaOf.
-	ChainOf string
 	// Advertise is the address peers dial to reach this server for
 	// POSITION probes, election queries and read-your-writes routing.
 	// Empty = derived from the bound listener address. Replicas without
@@ -122,11 +115,6 @@ type Config struct {
 	// ReadWait bounds how long a read carrying WaitLSN blocks for the
 	// store to catch up before failing with CodeLagging (default 2s).
 	ReadWait time.Duration
-	// ReplMaxLagRecords drops a connected replica whose acked position
-	// trails the primary by more than this many WAL records; the replica
-	// re-syncs via snapshot transfer. 0 = never drop (the slowest
-	// replica pins WAL retention indefinitely).
-	ReplMaxLagRecords uint64
 	// ReplHeartbeat is the replication stream's idle heartbeat interval
 	// (default repl.DefaultHeartbeat).
 	ReplHeartbeat time.Duration
@@ -205,15 +193,6 @@ func (c Config) durableOptions() (xmlordb.DurableOptions, error) {
 	}
 	opts.Sync = pol
 	return opts, nil
-}
-
-// upstreamAddr is the configured replication upstream: the primary
-// (ReplicaOf) or, for a chained replica, another replica (ChainOf).
-func (c Config) upstreamAddr() string {
-	if c.ReplicaOf != "" {
-		return c.ReplicaOf
-	}
-	return c.ChainOf
 }
 
 // leaseInterval is the failover poll / heartbeat cadence.
@@ -304,6 +283,7 @@ type Server struct {
 	ln         net.Listener
 	bound      chan struct{} // closed once Serve has a listener
 	httpSrv    *http.Server
+	statsLn    net.Listener
 
 	metrics  *metrics
 	wg       sync.WaitGroup // live connection handlers
@@ -318,7 +298,6 @@ type Server struct {
 	// startReplicationLocked starts a fresh one against the current
 	// upstream — that restartability is what retarget and demote build on.
 	replica      bool
-	chained      bool
 	replStopped  bool
 	feedsStopped bool
 	feeds        map[*feedEntry]struct{}
@@ -609,15 +588,34 @@ func (s *Server) Addr() net.Addr {
 	return s.ln.Addr()
 }
 
+// StatsAddr returns the bound address of the HTTP stats listener (nil
+// before Serve, or when Config.StatsAddr is empty).
+func (s *Server) StatsAddr() net.Addr {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.statsLn == nil {
+		return nil
+	}
+	return s.statsLn.Addr()
+}
+
 // Serve accepts connections on ln until Shutdown closes it. The
 // background snapshot loop and the optional HTTP stats listener run for
-// the duration of Serve.
+// the duration of Serve. The stats listener binds before ln is
+// published (Addr), and a bind failure closes ln and fails Serve.
 func (s *Server) Serve(ln net.Listener) error {
 	s.mu.Lock()
 	if s.draining {
 		s.mu.Unlock()
 		ln.Close()
 		return fmt.Errorf("server: already shut down")
+	}
+	if s.cfg.StatsAddr != "" {
+		if err := s.startStatsHTTPLocked(); err != nil {
+			s.mu.Unlock()
+			ln.Close()
+			return fmt.Errorf("server: stats listener: %w", err)
+		}
 	}
 	if s.ln == nil {
 		close(s.bound)
@@ -630,15 +628,10 @@ func (s *Server) Serve(ln net.Listener) error {
 		s.snapDone = make(chan struct{})
 		go s.snapshotLoop()
 	}
-	if s.cfg.StatsAddr != "" {
-		if err := s.startStatsHTTP(); err != nil {
-			s.cfg.logf("stats http: %v", err)
-		}
-	}
 	// The failover loop needs the bound address (elections identify
 	// nodes by advertised address), so it starts here rather than in
-	// StartReplication. Chained replicas never elect.
-	if s.cfg.ElectionTimeout > 0 && s.cfg.ChainOf == "" {
+	// StartReplication.
+	if s.cfg.ElectionTimeout > 0 {
 		s.startFailover()
 	}
 
@@ -694,8 +687,9 @@ func (s *Server) snapshotLoop() {
 	}
 }
 
-// startStatsHTTP serves GET /stats on cfg.StatsAddr.
-func (s *Server) startStatsHTTP() error {
+// startStatsHTTPLocked serves GET /stats on cfg.StatsAddr. s.mu must be
+// held, so Shutdown either sees the listener or runs before it exists.
+func (s *Server) startStatsHTTPLocked() error {
 	ln, err := net.Listen("tcp", s.cfg.StatsAddr)
 	if err != nil {
 		return err
@@ -705,11 +699,9 @@ func (s *Server) startStatsHTTP() error {
 		w.Header().Set("Content-Type", "application/json")
 		json.NewEncoder(w).Encode(s.statsPayload())
 	})
-	srv := &http.Server{Handler: mux}
-	s.mu.Lock()
-	s.httpSrv = srv
-	s.mu.Unlock()
-	go srv.Serve(ln)
+	s.httpSrv = &http.Server{Handler: mux}
+	s.statsLn = ln
+	go s.httpSrv.Serve(ln)
 	return nil
 }
 

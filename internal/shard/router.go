@@ -22,11 +22,6 @@ type Config struct {
 	// shard owns which documents — so it must be identical on every
 	// router fronting the same shards.
 	Addrs []string
-	// MaxRequestBytes bounds one client frame (default wire.DefaultMaxFrame).
-	MaxRequestBytes int
-	// IdleTimeout closes client sessions idle this long (default 5
-	// minutes; negative = no limit).
-	IdleTimeout time.Duration
 	// DialTimeout bounds one backend dial (default 5s).
 	DialTimeout time.Duration
 	// CallTimeout bounds one backend request/response exchange
@@ -36,23 +31,9 @@ type Config struct {
 	Logf func(format string, args ...any)
 }
 
-func (c Config) maxRequest() int {
-	if c.MaxRequestBytes > 0 {
-		return c.MaxRequestBytes
-	}
-	return wire.DefaultMaxFrame
-}
-
-func (c Config) idleTimeout() time.Duration {
-	switch {
-	case c.IdleTimeout > 0:
-		return c.IdleTimeout
-	case c.IdleTimeout < 0:
-		return 0
-	default:
-		return 5 * time.Minute
-	}
-}
+// sessionIdleTimeout closes client sessions that send no request for
+// this long.
+const sessionIdleTimeout = 5 * time.Minute
 
 func (c Config) dialTimeout() time.Duration {
 	if c.DialTimeout > 0 {
@@ -270,7 +251,7 @@ func (bc *backendConn) call(req *wire.Request) (*wire.Response, error) {
 			}
 			return nil, err
 		}
-		line, err := wire.ReadFrame(bc.br, bc.cfg.maxRequest())
+		line, err := wire.ReadFrame(bc.br, wire.DefaultMaxFrame)
 		if err != nil {
 			bc.drop()
 			if !redialed && errors.Is(err, io.ErrUnexpectedEOF) {
@@ -312,12 +293,9 @@ func (ss *rsession) closeBackends() {
 
 func (ss *rsession) serve() {
 	defer ss.r.dropSession(ss)
-	idle := ss.r.cfg.idleTimeout()
 	for {
-		if idle > 0 {
-			ss.conn.SetReadDeadline(time.Now().Add(idle))
-		}
-		line, err := wire.ReadFrame(ss.br, ss.r.cfg.maxRequest())
+		ss.conn.SetReadDeadline(time.Now().Add(sessionIdleTimeout))
+		line, err := wire.ReadFrame(ss.br, wire.DefaultMaxFrame)
 		if err != nil {
 			switch {
 			case errors.Is(err, wire.ErrFrameTooLarge):

@@ -33,10 +33,6 @@ const (
 	// views current. Receiving any frame renews the replica's lease on
 	// its upstream; heartbeats bound how stale the lease can be.
 	ReplHeartbeat = "hb"
-	// ReplResync tells the replica its backlog was truncated (it fell
-	// past the retention cutoff): drop the stream, reconnect, and expect
-	// a snapshot transfer.
-	ReplResync = "resync"
 	// ReplError carries a fatal stream error before the primary closes.
 	ReplError = "err"
 )
@@ -87,9 +83,9 @@ type ReplFrame struct {
 	// Error carries the failure text (err).
 	Error string `json:"error,omitempty"`
 	// Primary is the writable primary's advertised address as the feeder
-	// knows it (hb). On a chained feeder this names the ultimate
-	// primary, not the feeder itself, so read-only redirects and
-	// retargeting work through any depth of chain.
+	// knows it (hb). On a feeding replica this names the primary, not the
+	// feeder itself, so the receiver's read-only redirects and retarget
+	// probe go to the primary.
 	Primary string `json:"primary,omitempty"`
 	// Peers is the cluster member list (hb): advertised addresses of the
 	// primary and its election-eligible replicas. Replicas persist it so
@@ -103,8 +99,8 @@ type ReplFrame struct {
 	// own leases alive and elections re-fire until someone promotes.
 	Lease bool `json:"lease,omitempty"`
 	// Epoch is the feeder's current timeline at send time (hb), with
-	// Epochs its history. A feeder that promotes mid-stream (a chained
-	// replica's upstream winning an election) keeps streaming the same
+	// Epochs its history. A feeder that promotes mid-stream (a replica
+	// feeding an election loser wins the election) keeps streaming the same
 	// continuous WAL, so the receiver's state stays a valid prefix of
 	// the new timeline — these fields let it adopt the bumped epoch
 	// without a reconnect, which would otherwise force a needless
@@ -132,7 +128,7 @@ func DecodeReplFrame(line []byte) (*ReplFrame, error) {
 		return nil, fmt.Errorf("wire: trailing data after repl frame")
 	}
 	switch f.Type {
-	case ReplSnap, ReplUnit, ReplHeartbeat, ReplResync, ReplError:
+	case ReplSnap, ReplUnit, ReplHeartbeat, ReplError:
 	case "":
 		return nil, fmt.Errorf("wire: repl frame missing type")
 	default:

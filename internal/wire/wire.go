@@ -138,10 +138,6 @@ type Request struct {
 	// address peers should dial for POSITION probes and election
 	// queries. Empty = the replica is anonymous and election-invisible.
 	Addr string `json:"addr,omitempty"`
-	// Chained marks a REPLICATE handshake from a chained (replica-of-
-	// replica) follower: it is excluded from the election member list,
-	// since it follows whatever its upstream follows.
-	Chained bool `json:"chained,omitempty"`
 	// WaitLSN gates a read verb (RETRIEVE/XPATH/SQL SELECT) behind the
 	// store's WAL reaching at least this position: the read-your-writes
 	// barrier. The server waits up to its read-wait budget, then fails
@@ -214,7 +210,7 @@ type Response struct {
 	// highest store epoch on POSITION.
 	Epoch uint64 `json:"epoch,omitempty"`
 	// Epochs is the primary's epoch history on a REPLICATE OK: where
-	// each timeline began, so a mid-chain or promoted server can later
+	// each timeline began, so a feeding replica or promoted server can later
 	// prove which old-epoch replicas may stream instead of re-seeding.
 	Epochs []EpochStart `json:"epochs,omitempty"`
 	// Peers is the cluster member list on POSITION responses: advertised
