@@ -44,12 +44,13 @@ func (s *Store) DeleteDocument(docID int) error {
 }
 
 func (s *Store) deleteDocument(docID int) error {
-	rootTab, err := s.Engine.DB().Table(s.Schema.RootTable)
+	db := s.Engine.DB()
+	rootTab, err := db.Table(s.Schema.RootTable)
 	if err != nil {
 		return err
 	}
-	rowVals := meta.DocRow(rootTab, docID)
-	if rowVals == nil {
+	root := meta.DocRow(rootTab, docID)
+	if root == nil {
 		return fmt.Errorf("xmlordb: document %d not found in %s", docID, s.Schema.RootTable)
 	}
 	// Collect every row object belonging to the document: the REFs of the
@@ -57,18 +58,20 @@ func (s *Store) deleteDocument(docID int) error {
 	// the child-table rows pointing back at it (StrategyRef back-pointers).
 	// Each REF is expanded exactly once, and every wave is walked in sorted
 	// order so the deref (and therefore fault-injection) sequence is
-	// deterministic across runs.
+	// deterministic across runs. The expansion keeps the row it found, so
+	// the deletes below visit no other row.
 	refs := map[ordb.Ref]bool{}
-	for _, v := range rowVals[1:] {
+	for _, v := range root.Vals[1:] {
 		s.collectRefs(v, refs)
 	}
+	rows := map[ordb.Ref]*ordb.Row{}
 	for wave := sortedRefs(refs); len(wave) > 0; {
 		found := map[ordb.Ref]bool{}
 		for _, ref := range wave {
 			if err := s.collectChildTableRefs(ref, found); err != nil {
 				return err
 			}
-			obj, err := s.Engine.DB().Deref(ref)
+			_, row, err := db.DerefRow(ref)
 			if err != nil {
 				if errors.Is(err, ordb.ErrDanglingRef) {
 					continue // target already gone
@@ -77,7 +80,8 @@ func (s *Store) deleteDocument(docID int) error {
 				// an incomplete closure would orphan unreachable rows.
 				return err
 			}
-			for _, v := range obj.Attrs {
+			rows[ref] = row
+			for _, v := range row.Vals {
 				s.collectRefs(v, found)
 			}
 		}
@@ -91,45 +95,39 @@ func (s *Store) deleteDocument(docID int) error {
 		wave = sortedRefs(found)
 	}
 	// Delete the collected rows per table, in table-name order (again for
-	// a deterministic delete/fault sequence).
-	byTable := map[string][]ordb.OID{}
-	tables := []string{}
-	for ref := range refs {
-		if byTable[ref.Table] == nil {
+	// a deterministic delete/fault sequence): one DeleteRows, and so one
+	// fault point, per table a REF reached, even when its rows are gone.
+	var tables []string
+	byTable := map[string][]*ordb.Row{}
+	for _, ref := range sortedRefs(refs) {
+		if _, seen := byTable[ref.Table]; !seen {
 			tables = append(tables, ref.Table)
+			byTable[ref.Table] = nil
 		}
-		byTable[ref.Table] = append(byTable[ref.Table], ref.OID)
+		if row := rows[ref]; row != nil {
+			byTable[ref.Table] = append(byTable[ref.Table], row)
+		}
 	}
-	sort.Strings(tables)
 	for _, table := range tables {
-		oids := byTable[table]
-		tab, err := s.Engine.DB().Table(table)
+		tab, err := db.Table(table)
 		if err != nil {
 			return err
 		}
-		want := map[ordb.OID]bool{}
-		for _, oid := range oids {
-			want[oid] = true
-		}
-		if _, err := tab.Delete(func(r *ordb.Row) (bool, error) { return want[r.OID], nil }); err != nil {
+		if _, err := tab.DeleteRows(byTable[table]); err != nil {
 			return err
 		}
 	}
-	// Delete the root row.
-	if _, err := rootTab.Delete(func(r *ordb.Row) (bool, error) {
-		n, ok := r.Vals[0].(ordb.Num)
-		return ok && int(n) == docID, nil
-	}); err != nil {
+	if _, err := rootTab.DeleteRows([]*ordb.Row{root}); err != nil {
 		return err
 	}
 	// Delete the meta registration.
 	if s.Meta != nil {
-		metaTab, err := s.Engine.DB().Table("TabMetadata")
-		if err == nil {
-			if _, err := metaTab.Delete(func(r *ordb.Row) (bool, error) {
-				n, ok := r.Vals[0].(ordb.Num)
-				return ok && int(n) == docID, nil
-			}); err != nil {
+		if metaTab, err := db.Table("TabMetadata"); err == nil {
+			var reg []*ordb.Row
+			if row := meta.DocRow(metaTab, docID); row != nil {
+				reg = append(reg, row)
+			}
+			if _, err := metaTab.DeleteRows(reg); err != nil {
 				return err
 			}
 		}

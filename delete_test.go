@@ -2,8 +2,11 @@ package xmlordb
 
 import (
 	"fmt"
+	"maps"
+	"runtime"
 	"testing"
 
+	"xmlordb/internal/ordb"
 	"xmlordb/internal/workload"
 )
 
@@ -170,5 +173,111 @@ func checkScanIndependentOfStoreSize(t *testing.T, cfg Config) {
 	t.Logf("%v", counts)
 	if counts[0] != counts[1] || counts[0] == "retrieve 0 rows, delete 0 rows" {
 		t.Errorf("with 50 documents stored: %s; with 2000: %s", counts[0], counts[1])
+	}
+}
+
+// TestDeleteFaultPoints pins how many fault points one DeleteDocument
+// passes, per operation: a deref per REF it expands and one delete per
+// table it removes rows from (the object tables in name order, then the
+// root table and TabMetadata). The chaos sweep fails each of them in turn,
+// so changing these numbers changes what the sweep covers.
+func TestDeleteFaultPoints(t *testing.T) {
+	for _, arm := range []struct {
+		name  string
+		strat int
+		want  map[string]int64
+	}{
+		{"nested", 0, map[string]int64{ordb.FaultDelete: 4, ordb.FaultDeref: 3}},
+		{"ref", 1, map[string]int64{ordb.FaultDelete: 6, ordb.FaultDeref: 6}},
+	} {
+		t.Run(arm.name, func(t *testing.T) {
+			store := progStore(t, arm.strat)
+			id, err := store.LoadXML(progXML, "prog.xml")
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := opTotals(t, store.DB(), func() error { return store.DeleteDocument(id) })
+			if !maps.Equal(got, arm.want) {
+				t.Errorf("fault points of one DeleteDocument = %v, want %v", got, arm.want)
+			}
+		})
+	}
+}
+
+// TestDeleteIndependentOfStoreSize: one DeleteDocument costs the same with
+// 50 and with 2 000 documents stored — the same rows read, and bytes
+// allocated within 1.5× — under both mappings, with the meta-database on
+// and off. The delete hands the engine the rows it found by probe and
+// deref; no table is scanned or rebuilt.
+func TestDeleteIndependentOfStoreSize(t *testing.T) {
+	for _, arm := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"ref", Config{Strategy: StrategyRef, DisableMetadata: true}},
+		{"ref+meta", Config{Strategy: StrategyRef}},
+		{"nested", Config{DisableMetadata: true}},
+		{"nested+meta", Config{}},
+	} {
+		t.Run(arm.name, func(t *testing.T) { checkDeleteIndependentOfStoreSize(t, arm.cfg) })
+	}
+}
+
+func checkDeleteIndependentOfStoreSize(t *testing.T, cfg Config) {
+	s, err := Open(workload.UniversityDTD, "University", cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc := workload.University(workload.UniversityParams{
+		Students: 3, CoursesPerStudent: 2, ProfsPerCourse: 2, SubjectsPerProf: 1, Seed: 1,
+	})
+	const deletes = 20
+	var ids []int
+	load := func(n int) {
+		for ; n > 0; n-- {
+			id, err := s.Load(doc, "doc")
+			if err != nil {
+				t.Fatal(err)
+			}
+			ids = append(ids, id)
+		}
+	}
+	// measure deletes the oldest documents one by one, as a sliding window
+	// does, and reports rows scanned per delete (equal for every delete)
+	// and bytes allocated per delete. An unmeasured first delete builds
+	// the lazily materialized DocID indexes it probes.
+	measure := func() (scanned int64, bytes float64) {
+		if err := s.DeleteDocument(ids[0]); err != nil {
+			t.Fatal(err)
+		}
+		var ms0, ms1 runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&ms0)
+		for i := 1; i <= deletes; i++ {
+			before := s.DB().Stats().RowsScanned
+			if err := s.DeleteDocument(ids[i]); err != nil {
+				t.Fatal(err)
+			}
+			n := s.DB().Stats().RowsScanned - before
+			if i > 1 && n != scanned {
+				t.Fatalf("delete %d read %d rows, the first %d", i, n, scanned)
+			}
+			scanned = n
+		}
+		runtime.ReadMemStats(&ms1)
+		ids = ids[deletes+1:]
+		return scanned, float64(ms1.TotalAlloc-ms0.TotalAlloc) / deletes
+	}
+	load(50 + deletes + 1)
+	smallRows, smallBytes := measure()
+	load(2000 - len(ids) + deletes + 1)
+	largeRows, largeBytes := measure()
+	t.Logf("per delete: %d rows and %.0f B allocated at 50 stored, %d rows and %.0f B at 2000",
+		smallRows, smallBytes, largeRows, largeBytes)
+	if smallRows != largeRows {
+		t.Errorf("a delete read %d rows with 50 documents stored and %d with 2000", smallRows, largeRows)
+	}
+	if largeBytes > 1.5*smallBytes {
+		t.Errorf("a delete allocated %.0f B with 50 documents stored and %.0f B with 2000 (> 1.5×)", smallBytes, largeBytes)
 	}
 }

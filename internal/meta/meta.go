@@ -250,11 +250,11 @@ func (s *Store) Document(docID int) (*Document, error) {
 	if err != nil {
 		return nil, err
 	}
-	vals := DocRow(tab, docID)
-	if vals == nil {
+	row := DocRow(tab, docID)
+	if row == nil {
 		return nil, fmt.Errorf("%w: %d", ErrNoSuchDocument, docID)
 	}
-	return decodeDocument(vals), nil
+	return decodeDocument(row.Vals), nil
 }
 
 // Documents lists all registered documents in DocID order.
@@ -273,26 +273,25 @@ func (s *Store) Documents() ([]*Document, error) {
 	return out, nil
 }
 
-// DocRow returns the values of document docID's row in a table keyed by
-// a leading DocID column — TabMetadata or a generated root table — or nil
-// when there is none. It probes the DocID index and scans only when that
+// DocRow returns document docID's row in a table keyed by a leading
+// DocID column — TabMetadata or a generated root table — or nil when
+// there is none. It probes the DocID index and scans only when that
 // index was dropped.
-func DocRow(tab *ordb.Table, docID int) []ordb.Value {
+func DocRow(tab *ordb.Table, docID int) *ordb.Row {
 	if rows, ok := tab.ProbeEqual("DocID", ordb.Num(docID)); ok {
 		if len(rows) == 0 {
 			return nil
 		}
-		return rows[0].Vals
+		return rows[0]
 	}
-	var vals []ordb.Value
+	var found *ordb.Row
 	tab.Scan(func(row *ordb.Row) bool {
 		if n, ok := row.Vals[0].(ordb.Num); ok && int(n) == docID {
-			vals = row.Vals
-			return false
+			found = row
 		}
-		return true
+		return found == nil
 	})
-	return vals
+	return found
 }
 
 // decodeDocument builds the meta record from a TabMetadata row.

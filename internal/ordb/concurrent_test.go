@@ -50,6 +50,87 @@ func TestConcurrentInsertAndScan(t *testing.T) {
 	}
 }
 
+// TestLiveScansBesideTransactionWriter: a writer inserts and deletes
+// inside one transaction, so the trie nodes it makes stay unpublished and
+// change in place, while readers scan and walk cursors over the live
+// table. Each capture is sealed before it is read outside the lock (run
+// with -race): every scan sees keys in strictly increasing order.
+func TestLiveScansBesideTransactionWriter(t *testing.T) {
+	db := New(ModeOracle9)
+	if _, err := db.CreateObjectType("Type_P", []AttrDef{{Name: "n", Type: NumberType{}}}); err != nil {
+		t.Fatal(err)
+	}
+	tab, err := db.CreateTable(TableSpec{Name: "TabP", OfType: "Type_P"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tx, err := db.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		defer close(done)
+		var oids []OID
+		for i := 0; i < 1500; i++ {
+			oid, err := tab.Insert([]Value{Num(i)})
+			if err != nil {
+				t.Errorf("insert: %v", err)
+				return
+			}
+			if oids = append(oids, oid); i%3 == 2 {
+				_, row, err := db.DerefRow(Ref{Table: "TabP", OID: oids[len(oids)-2]})
+				if err == nil {
+					_, err = tab.DeleteRows([]*Row{row})
+				}
+				if err != nil {
+					t.Errorf("delete: %v", err)
+					return
+				}
+			}
+		}
+	}()
+	for r := 0; r < 4; r++ {
+		wg.Add(1)
+		go func(cursor bool) {
+			defer wg.Done()
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				var last uint64
+				visit := func(row *Row) {
+					if row.key <= last {
+						t.Errorf("scan visited key %d after %d", row.key, last)
+					}
+					last = row.key
+				}
+				if !cursor {
+					tab.Scan(func(row *Row) bool { visit(row); return true })
+					continue
+				}
+				c := tab.Cursor()
+				for row, ok := c.Next(); ok; row, ok = c.Next() {
+					visit(row)
+				}
+				c.Close()
+			}
+		}(r%2 == 1)
+	}
+	wg.Wait()
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if got := tab.RowCount(); got != 1000 {
+		t.Errorf("rows = %d, want 1000", got)
+	}
+}
+
 // TestConcurrentObjectTableOIDs verifies OID uniqueness under parallel
 // inserts.
 func TestConcurrentObjectTableOIDs(t *testing.T) {

@@ -32,9 +32,11 @@ type DB struct {
 	tableOrder []string
 	viewOrder  []string
 	nextOID    OID
-	// epoch counts full publishes; a Row created in the current epoch is
-	// still private to the live side and may be mutated in place.
+	// epoch counts full publishes; index trie nodes stamped with the
+	// current epoch are private to the live side (pmap.go).
 	epoch uint64
+	// edits issues the tables' trie edit tokens (Table.edit).
+	edits atomic.Uint64
 	// verDirty records a mutation since the last publish.
 	verDirty bool
 	// pubSuspended holds back publication while a multi-operation apply

@@ -7,8 +7,8 @@ import (
 	"time"
 )
 
-// Secondary equality indexes. Every object table already carries the
-// OID→row hash index (oidIndex) that makes FetchByOID/Deref O(1); the
+// Secondary equality indexes. Every object table already finds a row by
+// OID in its row trie, which makes FetchByOID/Deref cheap; the
 // structures here extend the same idea to scalar columns so that
 // equi-joins and WHERE col = const probe a persistent hash instead of
 // rebuilding one per query. Indexes are created explicitly with CREATE
@@ -58,9 +58,9 @@ func makeIndexKey(v Value) (indexKey, bool) {
 // versions capture it by struct copy. Buckets obey the shared-array
 // discipline of version.go: appends are safe (they write at or beyond
 // every published bucket length), removal always copies the bucket.
-// Object-table buckets are kept in OID order, which is the order a scan
-// visits the rows in (see bucketAdd), so a probe and a filter scan return
-// the same rows in the same order.
+// Buckets are kept in row-key order, which is the order a scan visits
+// the rows in (see bucketAdd), so a probe and a filter scan return the
+// same rows in the same order.
 type Index struct {
 	Name string
 	Col  string
@@ -143,13 +143,29 @@ func (t *Table) CreateIndex(name, col string) (*Index, error) {
 // Callers hold db.mu (write), or own the table exclusively.
 func (ix *Index) materializeLocked(t *Table) {
 	ix.rows = newPmap[indexKey, []*Row](hashIndexKey)
-	for _, r := range t.rows {
+	t.trie.each(func(r *Row) bool {
 		if k, ok := makeIndexKey(r.Vals[ix.colIdx]); ok {
-			bucket, _ := ix.rows.get(k)
-			ix.rows = ix.rows.set(t.db.epoch, k, bucketAdd(bucket, r))
+			ix.add(t.db.epoch, k, r)
 		}
-	}
+		return true
+	})
 	ix.built = true
+}
+
+// add puts r into key k's bucket.
+func (ix *Index) add(epoch uint64, k indexKey, r *Row) {
+	bucket, _ := ix.rows.get(k)
+	ix.rows = ix.rows.set(epoch, k, bucketAdd(bucket, r))
+}
+
+// remove takes r out of key k's bucket, dropping the key with its last row.
+func (ix *Index) remove(epoch uint64, k indexKey, r *Row) {
+	bucket, _ := ix.rows.get(k)
+	if bucket = bucketRemove(bucket, r); len(bucket) > 0 {
+		ix.rows = ix.rows.set(epoch, k, bucket)
+	} else {
+		ix.rows = ix.rows.del(epoch, k)
+	}
 }
 
 // DropIndex removes the named index from whichever table carries it.
@@ -333,26 +349,24 @@ func (t *Table) indexInsertLocked(r *Row) {
 			continue
 		}
 		if k, ok := makeIndexKey(r.Vals[ix.colIdx]); ok {
-			bucket, _ := ix.rows.get(k)
-			ix.rows = ix.rows.set(t.db.epoch, k, bucketAdd(bucket, r))
+			ix.add(t.db.epoch, k, r)
 		}
 	}
 }
 
-// bucketAdd returns bucket with r added, keeping object-table buckets in
-// OID order — insertion order, and so the order a scan visits the rows
-// in. A row newer than every row in the bucket (always so for a plain
-// insert, and for every relational row, whose OID is 0) is appended,
-// which is safe against published versions: the write lands at an
-// offset no published bucket header reaches. An older row — re-added by
-// an undo, a copy-on-write replace or a rekey — is copy-inserted at its
-// place in a fresh backing array.
+// bucketAdd returns bucket with r added, keeping buckets in row-key
+// order — insertion order, and so the order a scan visits the rows in. A
+// row newer than every row in the bucket (always so for a plain insert)
+// is appended, which is safe against published versions: the write lands
+// at an offset no published bucket header reaches. An older row —
+// re-added by an undo or a replace — is copy-inserted at its place in a
+// fresh backing array.
 func bucketAdd(bucket []*Row, r *Row) []*Row {
 	n := len(bucket)
-	if n == 0 || bucket[n-1].OID <= r.OID {
+	if n == 0 || bucket[n-1].key <= r.key {
 		return append(bucket, r)
 	}
-	i := sort.Search(n, func(i int) bool { return bucket[i].OID > r.OID })
+	i := sort.Search(n, func(i int) bool { return bucket[i].key > r.key })
 	out := make([]*Row, 0, n+1)
 	out = append(out, bucket[:i]...)
 	out = append(out, r)
@@ -379,46 +393,8 @@ func (t *Table) indexRemoveLocked(r *Row) {
 		if !ix.built {
 			continue
 		}
-		k, ok := makeIndexKey(r.Vals[ix.colIdx])
-		if !ok {
-			continue
-		}
-		bucket, _ := ix.rows.get(k)
-		bucket = bucketRemove(bucket, r)
-		if len(bucket) == 0 {
-			ix.rows = ix.rows.del(t.db.epoch, k)
-		} else {
-			ix.rows = ix.rows.set(t.db.epoch, k, bucket)
-		}
-	}
-}
-
-// indexRekeyLocked moves a row between buckets when its values change
-// from oldVals to newVals (the row object keeps its identity). Callers
-// hold db.mu (write); r.Vals must still be oldVals when called.
-func (t *Table) indexRekeyLocked(r *Row, oldVals, newVals []Value) {
-	for _, ix := range t.indexes {
-		if !ix.built {
-			continue
-		}
-		ok, nk := oldVals[ix.colIdx], newVals[ix.colIdx]
-		oldKey, hadOld := makeIndexKey(ok)
-		newKey, hasNew := makeIndexKey(nk)
-		if hadOld && hasNew && oldKey == newKey {
-			continue
-		}
-		if hadOld {
-			bucket, _ := ix.rows.get(oldKey)
-			bucket = bucketRemove(bucket, r)
-			if len(bucket) == 0 {
-				ix.rows = ix.rows.del(t.db.epoch, oldKey)
-			} else {
-				ix.rows = ix.rows.set(t.db.epoch, oldKey, bucket)
-			}
-		}
-		if hasNew {
-			bucket, _ := ix.rows.get(newKey)
-			ix.rows = ix.rows.set(t.db.epoch, newKey, bucketAdd(bucket, r))
+		if k, ok := makeIndexKey(r.Vals[ix.colIdx]); ok {
+			ix.remove(t.db.epoch, k, r)
 		}
 	}
 }

@@ -10,24 +10,27 @@ import (
 // unmodified structure with the receiver, so capturing a snapshot of a
 // map is a single struct copy — O(1) — no matter how many entries it
 // holds. That property is what lets a commit publish a frozen
-// version of every table's OID index and secondary indexes without
-// cloning them (see version.go): the live side keeps mutating its pmap
-// while published versions read theirs lock-free.
+// version of every table's secondary indexes without cloning them (see
+// version.go): the live side keeps mutating its pmap while published
+// versions read theirs lock-free.
 //
-// Layout: interior nodes fan out 64 ways on 6-bit hash chunks, using a
+// Layout: interior nodes fan out 32 ways on 5-bit hash chunks, using a
 // bitmap plus a packed slot array (popcount addressing). Keys whose full
 // 64-bit hashes collide chain off a single leaf. Because consecutive
 // chunks cover all 64 hash bits, two distinct hashes always separate at
-// some depth, so splitting terminates without a depth cap.
+// some depth, so splitting terminates without a depth cap. The fan-out
+// sets what an update copies: hashed keys scatter, so each key a
+// transaction touches copies its own full-width node below the root, and
+// at 32 slots (512 B) that copy stays small as an index grows.
 //
 // Copying every node on the path of every update would make each row
-// insert allocate a few kilobytes of trie (a full node is 64 slots), most
+// insert allocate a few kilobytes of trie (a full node is 32 slots), most
 // of it garbage by the next insert. Updates therefore take the writer's
 // publish epoch as an edit token: a node stamped with the current epoch
 // was created after the last publish, so no published version can reach
-// it, and it is updated in place — the same rule by which a Row private
-// to the live side is fixed up in place (version.go). Only nodes a
-// published version may hold are copied, each at most once per epoch.
+// it, and it is updated in place — the rule the row trie follows with its
+// table's edit token (rowtrie.go). Only nodes a published version may
+// hold are copied, each at most once per epoch.
 //
 // The zero value is an empty map with no hash function; initialize with
 // newPmap before use.
@@ -38,7 +41,7 @@ type pmap[K comparable, V any] struct {
 }
 
 const (
-	pmapBits = 6
+	pmapBits = 5
 	pmapMask = 1<<pmapBits - 1
 )
 
@@ -71,9 +74,6 @@ type pleaf[K comparable, V any] struct {
 func newPmap[K comparable, V any](hash func(K) uint64) pmap[K, V] {
 	return pmap[K, V]{hash: hash}
 }
-
-// initialized reports whether the map was built with newPmap.
-func (m pmap[K, V]) initialized() bool { return m.hash != nil }
 
 // len returns the number of entries.
 func (m pmap[K, V]) len() int { return m.n }
@@ -263,44 +263,6 @@ func pdelRec[K comparable, V any](node *pnode[K, V], shift int, h uint64, k K, e
 	node = owned(node, edit)
 	node.slots[idx] = ns
 	return node, true
-}
-
-// each calls fn for every entry until fn returns false. Iteration order
-// is hash order — arbitrary but deterministic for a given map.
-func (m pmap[K, V]) each(fn func(K, V) bool) {
-	pwalk(m.root, fn)
-}
-
-func pwalk[K comparable, V any](node *pnode[K, V], fn func(K, V) bool) bool {
-	if node == nil {
-		return true
-	}
-	for _, s := range node.slots {
-		if s.child != nil {
-			if !pwalk(s.child, fn) {
-				return false
-			}
-			continue
-		}
-		for l := s.leaf; l != nil; l = l.next {
-			if !fn(l.key, l.val) {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// hashOID mixes an OID into a well-distributed 64-bit hash
-// (splitmix64 finalizer — OIDs are sequential, so mixing matters).
-func hashOID(o OID) uint64 {
-	x := uint64(o)
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return x
 }
 
 // hashIndexKey hashes a normalized index probe key: FNV-1a over the

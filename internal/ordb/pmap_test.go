@@ -9,6 +9,18 @@ import (
 // splits and long collision chains.
 func badHash(o OID) uint64 { return uint64(o) & 1 }
 
+// hashOID mixes an OID into a well-distributed 64-bit hash (splitmix64
+// finalizer — OIDs are sequential, so mixing matters).
+func hashOID(o OID) uint64 {
+	x := uint64(o)
+	x ^= x >> 30
+	x *= 0xbf58476d1ce4e5b9
+	x ^= x >> 27
+	x *= 0x94d049bb133111eb
+	x ^= x >> 31
+	return x
+}
+
 func TestPmapSetGetDelete(t *testing.T) {
 	m := newPmap[OID, int](hashOID)
 	const n = 2000
@@ -110,10 +122,10 @@ func TestPmapCollisions(t *testing.T) {
 	if snap.len() != n {
 		t.Fatalf("snapshot len = %d, want %d", snap.len(), n)
 	}
-	seen := 0
-	snap.each(func(OID, string) bool { seen++; return true })
-	if seen != n {
-		t.Fatalf("each visited %d entries, want %d", seen, n)
+	for i := 1; i <= n; i++ {
+		if v, ok := snap.get(OID(i)); !ok || v != fmt.Sprint(i) {
+			t.Fatalf("snapshot get(%d) = %q, %v", i, v, ok)
+		}
 	}
 }
 

@@ -349,3 +349,111 @@ func TestDeleteDuringScan(t *testing.T) {
 		t.Fatalf("RowCount after delete-all = %d", tab.RowCount())
 	}
 }
+
+// TestWriteScansAreCharged: every row a write path reads by visiting the
+// table counts toward RowsScanned like a Scan's, so the exact counts see
+// it; DeleteRows, handed its rows, reads none.
+func TestWriteScansAreCharged(t *testing.T) {
+	db, tab := scanFixture(t, numbered(10)...)
+	charged := func(op func() error) int64 {
+		t.Helper()
+		before := db.Stats().RowsScanned
+		if err := op(); err != nil {
+			t.Fatal(err)
+		}
+		return db.Stats().RowsScanned - before
+	}
+	nIs := func(n Num) func(*Row) (bool, error) {
+		return func(r *Row) (bool, error) { return r.Vals[1] == n, nil }
+	}
+	if d := charged(func() error {
+		_, err := tab.UpdateWhere(nIs(3), func(v []Value) ([]Value, error) { return []Value{v[0], Num(30)}, nil })
+		return err
+	}); d != 10 {
+		t.Errorf("UpdateWhere charged %d rows, want 10", d)
+	}
+	if d := charged(func() error {
+		_, err := tab.ReplaceWhere(func(r *Row) bool { return r.Vals[1] == Num(4) }, []Value{Str("four"), Num(4)})
+		return err
+	}); d != 5 {
+		t.Errorf("ReplaceWhere matching the fifth row charged %d rows, want 5", d)
+	}
+	if d := charged(func() error { _, err := tab.Delete(nIs(5)); return err }); d != 10 {
+		t.Errorf("Delete(pred) charged %d rows, want 10", d)
+	}
+	var rows []*Row
+	tab.Scan(func(r *Row) bool { rows = append(rows, r); return len(rows) < 2 })
+	if d := charged(func() error { _, err := tab.DeleteRows(rows); return err }); d != 0 {
+		t.Errorf("DeleteRows charged %d rows, want 0", d)
+	}
+	if d := charged(func() error { _, err := tab.Delete(nil); return err }); d != 7 {
+		t.Errorf("Delete(nil) charged %d rows, want 7", d)
+	}
+
+	// A composite primary key has no index to probe: the duplicate check
+	// reads the stored rows.
+	pk, err := db.CreateTable(TableSpec{Name: "PK", Columns: []Column{
+		{Name: "A", Type: NumberType{}, PrimaryKey: true},
+		{Name: "B", Type: NumberType{}, PrimaryKey: true},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 6; i++ {
+		if _, err := pk.Insert([]Value{Num(i), Num(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if d := charged(func() error { _, err := pk.Insert([]Value{Num(9), Num(9)}); return err }); d != 6 {
+		t.Errorf("composite-key insert charged %d rows, want 6", d)
+	}
+	if _, err := pk.Insert([]Value{Num(2), Num(2)}); err == nil {
+		t.Error("duplicate composite key accepted")
+	}
+}
+
+// TestCursorSealsTransactionRows: inside a transaction nothing publishes,
+// so the trie nodes holding the transaction's rows are still the writer's
+// to change in place. Opening a cursor seals them: it keeps returning the
+// rows it opened on while the transaction deletes rows it found by probe
+// and inserts more.
+func TestCursorSealsTransactionRows(t *testing.T) {
+	db, tab := scanFixture(t)
+	tx, err := db.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := numbered(40)
+	for i, name := range want {
+		if _, err := tab.Insert([]Value{Str(name), Num(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var victims []*Row
+	for _, name := range want[20:30] {
+		rows, _ := tab.ProbeEqual("Name", Str(name))
+		victims = append(victims, rows...)
+	}
+	c := tab.Cursor()
+	got := cursorNames(c, 10)
+	if n, err := tab.DeleteRows(victims); err != nil || n != 10 {
+		t.Fatalf("DeleteRows = %d, %v; want 10", n, err)
+	}
+	if _, err := tab.Insert([]Value{Str("late"), Num(99)}); err != nil {
+		t.Fatal(err)
+	}
+	got = append(got, cursorNames(c, 50)...)
+	c.Close()
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("cursor across a delete in a transaction = %v", got)
+	}
+	if tab.RowCount() != 31 {
+		t.Fatalf("RowCount = %d, want 31", tab.RowCount())
+	}
+	if err := tx.Rollback(); err != nil {
+		t.Fatal(err)
+	}
+	if tab.RowCount() != 0 {
+		t.Fatalf("RowCount after rollback = %d", tab.RowCount())
+	}
+}

@@ -33,12 +33,11 @@ func (db *DB) SnapshotRows() ([]TableRows, error) {
 	out := make([]TableRows, 0, len(db.tableOrder))
 	for _, k := range db.tableOrder {
 		t := db.tables[k]
-		tr := TableRows{Name: t.Name, Rows: make([]Row, len(t.rows))}
-		for i, r := range t.rows {
-			vals := make([]Value, len(r.Vals))
-			copy(vals, r.Vals)
-			tr.Rows[i] = Row{OID: r.OID, Vals: vals}
-		}
+		tr := TableRows{Name: t.Name, Rows: make([]Row, 0, t.trie.n)}
+		t.trie.each(func(r *Row) bool {
+			tr.Rows = append(tr.Rows, Row{OID: r.OID, Vals: append([]Value(nil), r.Vals...)})
+			return true
+		})
 		out = append(out, tr)
 	}
 	return out, nil

@@ -3,6 +3,7 @@ package ordb
 import (
 	"fmt"
 	"strings"
+	"sync/atomic"
 )
 
 // Column is one column of a table. For object tables the columns are
@@ -41,11 +42,9 @@ type RowView interface {
 type Row struct {
 	OID  OID
 	Vals []Value
-	// epoch is the publish epoch the row was created in. While it equals
-	// the DB's current epoch the row has never been captured by a
-	// published version and may be mutated in place; afterwards updates
-	// swap in a fresh Row (see version.go).
-	epoch uint64
+	// key orders the row in its table's trie: the OID in an object table,
+	// the table's insert sequence number in a relational one.
+	key uint64
 }
 
 // Table is a base table: either a relational table with explicit columns
@@ -63,20 +62,20 @@ type Table struct {
 	// is a schema object that counts toward decomposition (E3).
 	NestedStorage map[string]string
 
-	db   *DB
-	rows []*Row
-	// rowsShared marks the rows backing array as captured by a published
-	// version: element overwrites must privatize it first (appends and
-	// truncations are always safe — see version.go).
-	rowsShared bool
+	db *DB
+	// trie holds the rows in key order (rowtrie.go), serving scans and REF
+	// dereference alike.
+	trie rowTrie
+	// edit is the token under which trie nodes no published version or
+	// live scan holds change in place; each capture renews it.
+	edit atomic.Uint64
+	// lastKey is the key of the newest row of a relational table.
+	lastKey uint64
 	// verDirty records a mutation since the table's last frozen capture.
 	verDirty bool
 	// live, set only on frozen copies, points back at the live table (so
 	// a frozen index probe can trigger lazy materialization there).
 	live *Table
-	// oidIndex gives O(1) REF dereference for object tables. A persistent
-	// trie so published versions capture it by struct copy.
-	oidIndex pmap[OID, *Row]
 	// pkCols are the column positions of the primary key.
 	pkCols []int
 	// indexes are the secondary equality indexes (see index.go).
@@ -116,9 +115,9 @@ func (db *DB) CreateTable(spec TableSpec) (*Table, error) {
 		Checks:        spec.Checks,
 		NestedStorage: map[string]string{},
 		db:            db,
-		oidIndex:      newPmap[OID, *Row](hashOID),
 		max:           maxCache{valid: true}, // no rows: the maximum is 0
 	}
+	t.edit.Store(db.edits.Add(1))
 	for k, v := range spec.NestedStorage {
 		if err := checkIdent(v); err != nil {
 			return nil, err
@@ -245,46 +244,67 @@ func (t *Table) Insert(vals []Value) (OID, error) {
 	if err := t.db.fault(FaultInsert); err != nil {
 		return 0, fmt.Errorf("ordb: table %s: %w", t.Name, err)
 	}
-	if len(vals) != len(t.Cols) {
-		return 0, fmt.Errorf("ordb: table %s: got %d values for %d columns: %w",
-			t.Name, len(vals), len(t.Cols), ErrArity)
+	checked, err := t.conformed(vals)
+	if err == nil {
+		err = t.checkRow(checked, ErrPrimaryKey, true)
 	}
-	checked := make([]Value, len(vals))
-	for i, v := range vals {
-		cv, err := t.db.conform(v, t.Cols[i].Type)
-		if err != nil {
-			return 0, fmt.Errorf("ordb: table %s column %s: %w", t.Name, t.Cols[i].Name, err)
-		}
-		checked[i] = cv
-	}
-	if err := t.checkConstraints(checked); err != nil {
+	if err != nil {
 		return 0, err
 	}
 	row := &Row{Vals: checked}
 	t.db.mu.Lock()
-	row.epoch = t.db.epoch
 	if t.IsObjectTable() {
 		t.db.nextOID++
 		row.OID = t.db.nextOID
-		t.oidIndex = t.oidIndex.set(t.db.epoch, row.OID, row)
 	}
-	t.rows = append(t.rows, row)
-	t.indexInsertLocked(row)
+	t.addLocked(row)
 	t.db.logUndo(undoInsert{t: t, row: row, counted: true})
-	t.maxEnterLocked(row.Vals)
-	t.markDirtyLocked()
 	t.db.maybePublishLocked()
 	t.db.mu.Unlock()
 	t.db.stats.Inserts.Add(1)
 	return row.OID, nil
 }
 
-func (t *Table) checkConstraints(vals []Value) error {
+// addLocked stores a new row under its key: its OID in an object table,
+// the next sequence number in a relational one. Callers hold db.mu (write).
+func (t *Table) addLocked(row *Row) {
+	row.key = uint64(row.OID)
+	if row.OID == 0 {
+		t.lastKey++
+		row.key = t.lastKey
+	}
+	t.trie = t.trie.set(t.edit.Load(), row)
+	t.indexInsertLocked(row)
+	t.maxEnterLocked(row.Vals)
+	t.markDirtyLocked()
+}
+
+// conformed checks vals' arity and conforms them to the column types.
+func (t *Table) conformed(vals []Value) ([]Value, error) {
+	if len(vals) != len(t.Cols) {
+		return nil, fmt.Errorf("ordb: table %s: got %d values for %d columns: %w",
+			t.Name, len(vals), len(t.Cols), ErrArity)
+	}
+	checked := make([]Value, len(vals))
+	for i, v := range vals {
+		cv, err := t.db.conform(v, t.Cols[i].Type)
+		if err != nil {
+			return nil, fmt.Errorf("ordb: table %s column %s: %w", t.Name, t.Cols[i].Name, err)
+		}
+		checked[i] = cv
+	}
+	return checked, nil
+}
+
+// checkRow enforces the constraints on conformed values: NOT NULL (a NULL
+// key column fails with nullKey), SCOPE FOR, with unique the primary key's
+// uniqueness, and CHECK.
+func (t *Table) checkRow(vals []Value, nullKey error, unique bool) error {
 	for i, c := range t.Cols {
 		if (c.NotNull || c.PrimaryKey) && IsNull(vals[i]) {
 			kind := ErrNotNull
 			if c.PrimaryKey {
-				kind = ErrPrimaryKey
+				kind = nullKey
 			}
 			return fmt.Errorf("ordb: table %s column %s: %w", t.Name, c.Name, kind)
 		}
@@ -294,7 +314,7 @@ func (t *Table) checkConstraints(vals []Value) error {
 			}
 		}
 	}
-	if len(t.pkCols) > 0 {
+	if unique && len(t.pkCols) > 0 {
 		t.db.mu.RLock()
 		dup := false
 		if cand, ok := t.pkCandidatesLocked(vals); ok {
@@ -303,25 +323,16 @@ func (t *Table) checkConstraints(vals []Value) error {
 			// are a superset of exact matches; DeepEqual decides.
 			pi := t.pkCols[0]
 			for _, r := range cand {
-				if DeepEqual(r.Vals[pi], vals[pi]) {
-					dup = true
-					break
-				}
+				dup = dup || DeepEqual(r.Vals[pi], vals[pi])
 			}
 		} else {
-			for _, r := range t.rows {
-				same := true
+			t.db.stats.RowsScanned.Add(int64(t.trie.each(func(r *Row) bool {
+				dup = true
 				for _, pi := range t.pkCols {
-					if !DeepEqual(r.Vals[pi], vals[pi]) {
-						same = false
-						break
-					}
+					dup = dup && DeepEqual(r.Vals[pi], vals[pi])
 				}
-				if same {
-					dup = true
-					break
-				}
-			}
+				return !dup
+			})))
 		}
 		t.db.mu.RUnlock()
 		if dup {
@@ -374,52 +385,49 @@ func (t *Table) RestoreRow(oid OID, vals []Value) error {
 	row := &Row{OID: oid, Vals: copied}
 	t.db.mu.Lock()
 	defer t.db.mu.Unlock()
-	row.epoch = t.db.epoch
 	if t.IsObjectTable() {
 		if oid == 0 {
 			return fmt.Errorf("ordb: table %s: object-table row restored without OID", t.Name)
 		}
-		if _, dup := t.oidIndex.get(oid); dup {
+		if t.trie.get(uint64(oid)) != nil {
 			return fmt.Errorf("ordb: table %s: duplicate OID %d in snapshot", t.Name, oid)
 		}
-		t.oidIndex = t.oidIndex.set(t.db.epoch, oid, row)
-		if oid > t.db.nextOID {
-			t.db.nextOID = oid
-		}
+		t.db.nextOID = max(t.db.nextOID, oid)
 	}
-	t.rows = append(t.rows, row)
-	t.indexInsertLocked(row)
+	t.addLocked(row)
 	t.db.logUndo(undoInsert{t: t, row: row})
-	t.maxEnterLocked(row.Vals)
-	t.markDirtyLocked()
 	t.db.maybePublishLocked()
 	return nil
 }
 
-// Scan calls fn for every row in insertion order. The callback receives
-// the stored row; callers must not mutate it. Returning false stops the
-// scan early.
+// captureLocked returns the trie for reading outside the lock, sealed as
+// at a publish: on a live table it renews the edit token, so later writes
+// copy the nodes the capture holds. Callers hold db.rlock.
+func (t *Table) captureLocked() rowTrie {
+	tr := t.trie
+	if !t.db.frozen && tr.root != nil && tr.root.edit == t.edit.Load() {
+		t.edit.Store(t.db.edits.Add(1))
+	}
+	return tr
+}
+
+// Scan calls fn for every row in key order, which is insertion order.
+// The callback receives the stored row; callers must not mutate it.
+// Returning false stops the scan early.
 func (t *Table) Scan(fn func(*Row) bool) {
 	t.db.rlock()
-	rows := t.rows
+	tr := t.captureLocked()
 	t.db.runlock()
-	n := 0
-	for _, r := range rows {
-		n++
-		if !fn(r) {
-			break
-		}
-	}
-	t.db.stats.RowsScanned.Add(int64(n))
+	t.db.stats.RowsScanned.Add(int64(tr.each(fn)))
 }
 
 // Cursor is a pull iterator over the rows a table held when the cursor
-// was opened, in insertion order; later inserts and deletes do not
-// affect it.
+// was opened, in key order; later inserts and deletes do not affect it.
 type Cursor struct {
 	t    *Table
-	rows []*Row
-	i    int
+	trie rowTrie
+	leaf []*Row // the current leaf's rows not yet pulled
+	n    int
 }
 
 // Cursor opens a pull scan. Close must be called: it charges the rows
@@ -427,37 +435,41 @@ type Cursor struct {
 func (t *Table) Cursor() *Cursor {
 	t.db.rlock()
 	defer t.db.runlock()
-	return &Cursor{t: t, rows: t.rows}
+	tr := t.captureLocked()
+	return &Cursor{t: t, trie: tr, leaf: tr.leafFrom(0)}
 }
 
 // Next returns the next row, or (nil, false) when exhausted.
 func (c *Cursor) Next() (*Row, bool) {
-	if c.i >= len(c.rows) {
+	if len(c.leaf) == 0 {
 		return nil, false
 	}
-	r := c.rows[c.i]
-	c.i++
+	r := c.leaf[0]
+	if c.leaf = c.leaf[1:]; len(c.leaf) == 0 {
+		c.leaf = c.trie.leafFrom(r.key + 1)
+	}
+	c.n++
 	return r, true
 }
 
 // Close ends the scan; closing twice charges nothing further.
 func (c *Cursor) Close() {
-	c.t.db.stats.RowsScanned.Add(int64(c.i))
-	c.rows, c.i = nil, 0
+	c.t.db.stats.RowsScanned.Add(int64(c.n))
+	c.trie, c.leaf, c.n = rowTrie{}, nil, 0
 }
 
 // RowCount reports the number of stored rows.
 func (t *Table) RowCount() int {
 	t.db.rlock()
 	defer t.db.runlock()
-	return len(t.rows)
+	return t.trie.n
 }
 
 // Delete removes rows for which pred returns true and reports how many
-// were removed. A nil pred removes all rows. Matching runs in a first
-// phase outside the write lock (so predicates may dereference REFs) and
-// before any mutation: a predicate error leaves rows, indexes and the
-// undo log untouched.
+// were removed. A nil pred removes all rows. Matching is a Scan, outside
+// the write lock (so predicates may dereference REFs) and before any
+// mutation: a predicate error leaves rows, indexes and the undo log
+// untouched.
 func (t *Table) Delete(pred func(*Row) (bool, error)) (int, error) {
 	if err := t.db.writable(); err != nil {
 		return 0, err
@@ -465,94 +477,76 @@ func (t *Table) Delete(pred func(*Row) (bool, error)) (int, error) {
 	if err := t.db.fault(FaultDelete); err != nil {
 		return 0, fmt.Errorf("ordb: table %s: %w", t.Name, err)
 	}
-	t.db.mu.RLock()
-	snapshot := t.rows
-	t.db.mu.RUnlock()
-	var del map[*Row]bool
-	if pred != nil {
-		for _, r := range snapshot {
-			ok, err := pred(r)
-			if err != nil {
-				return 0, err
-			}
-			if ok {
-				if del == nil {
-					del = make(map[*Row]bool)
-				}
-				del[r] = true
-			}
+	var del []*Row
+	var err error
+	t.Scan(func(r *Row) bool {
+		ok := true
+		if pred != nil {
+			ok, err = pred(r)
 		}
-		if len(del) == 0 {
-			return 0, nil
+		if ok && err == nil {
+			del = append(del, r)
 		}
+		return err == nil
+	})
+	if err != nil {
+		return 0, err
+	}
+	return t.deleteRows(del), nil
+}
+
+// DeleteRows removes the given rows, found by an earlier probe or scan,
+// and reports how many were still stored. It visits no other row.
+func (t *Table) DeleteRows(rows []*Row) (int, error) {
+	if err := t.db.writable(); err != nil {
+		return 0, err
+	}
+	if err := t.db.fault(FaultDelete); err != nil {
+		return 0, fmt.Errorf("ordb: table %s: %w", t.Name, err)
+	}
+	return t.deleteRows(rows), nil
+}
+
+func (t *Table) deleteRows(rows []*Row) int {
+	if len(rows) == 0 {
+		return 0
 	}
 	t.db.mu.Lock()
 	defer t.db.mu.Unlock()
-	var removed []*Row
-	kept := make([]*Row, 0, len(t.rows))
-	for _, r := range t.rows {
-		if pred == nil || del[r] {
-			removed = append(removed, r)
-		} else {
-			kept = append(kept, r)
+	removed := make([]*Row, 0, len(rows))
+	for _, r := range rows {
+		if t.trie.get(r.key) != r {
+			continue // gone since it was found, or listed twice
 		}
-	}
-	if len(removed) == 0 {
-		return 0, nil
-	}
-	t.db.logUndo(undoDelete{t: t, prev: t.rows, prevShared: t.rowsShared, removed: removed})
-	for _, r := range removed {
-		if r.OID != 0 {
-			t.oidIndex = t.oidIndex.del(t.db.epoch, r.OID)
-		}
+		t.trie = t.trie.del(t.edit.Load(), r.key)
 		t.indexRemoveLocked(r)
 		t.maxLeaveLocked(r.Vals)
+		removed = append(removed, r)
 	}
-	// kept is a fresh backing array no published version can reach.
-	t.rows = kept
-	t.rowsShared = false
+	if len(removed) == 0 {
+		return 0
+	}
+	t.db.logUndo(undoDelete{t: t, removed: removed})
 	t.markDirtyLocked()
 	t.db.maybePublishLocked()
-	return len(removed), nil
+	return len(removed)
 }
 
-// replaceRowLocked installs new values for a row, preserving its OID
-// identity (REFs stay valid — the OID index is updated to the new Row
-// object when one is needed). A row still private to the live side is
-// fixed up in place, the fast path the loader's IDREF resolution relies
-// on; a row captured by a published version is replaced by a fresh Row
-// at position idx so concurrent lock-free readers keep seeing the old
-// values. idx < 0 means the position is unknown and is looked up here.
-// Callers hold db.mu (write) and have validated checked.
-func (t *Table) replaceRowLocked(row *Row, idx int, checked []Value) bool {
-	if row.epoch == t.db.epoch {
-		t.db.logUndo(undoReplace{t: t, row: row, prev: row.Vals})
-		t.indexRekeyLocked(row, row.Vals, checked)
-		t.maxReplaceLocked(row.Vals, checked)
-		row.Vals = checked
-		return true
+// replaceRowLocked installs new values for a stored row as a fresh Row
+// under the same key, preserving its OID identity (REFs stay valid).
+// Stored rows are never changed, so scans and published versions holding
+// the old row keep seeing its values. It reports false when the row is no
+// longer stored. Callers hold db.mu (write) and have validated checked.
+func (t *Table) replaceRowLocked(row *Row, checked []Value) bool {
+	if t.trie.get(row.key) != row {
+		return false
 	}
-	if idx < 0 {
-		for i, r := range t.rows {
-			if r == row {
-				idx = i
-				break
-			}
-		}
-		if idx < 0 {
-			return false // row no longer stored
-		}
-	}
-	nr := &Row{OID: row.OID, Vals: checked, epoch: t.db.epoch}
-	t.privatizeRowsLocked()
-	t.rows[idx] = nr
-	if nr.OID != 0 {
-		t.oidIndex = t.oidIndex.set(t.db.epoch, nr.OID, nr)
-	}
+	nr := &Row{OID: row.OID, Vals: checked, key: row.key}
+	t.trie = t.trie.set(t.edit.Load(), nr)
 	t.indexRemoveLocked(row)
 	t.indexInsertLocked(nr)
 	t.maxReplaceLocked(row.Vals, nr.Vals)
-	t.db.logUndo(undoSwap{t: t, idx: idx, old: row, repl: nr})
+	t.db.logUndo(undoSwap{t: t, old: row, repl: nr})
 	return true
 }
 
@@ -569,47 +563,17 @@ func (t *Table) ReplaceByOID(oid OID, vals []Value) error {
 	if !t.IsObjectTable() {
 		return fmt.Errorf("ordb: table %s is not an object table", t.Name)
 	}
-	if len(vals) != len(t.Cols) {
-		return fmt.Errorf("ordb: table %s: got %d values for %d columns: %w",
-			t.Name, len(vals), len(t.Cols), ErrArity)
+	checked, err := t.conformed(vals)
+	if err == nil {
+		// No uniqueness check: it would compare the key with the row itself.
+		err = t.checkRow(checked, ErrNotNull, false)
 	}
-	checked := make([]Value, len(vals))
-	for i, v := range vals {
-		cv, err := t.db.conform(v, t.Cols[i].Type)
-		if err != nil {
-			return fmt.Errorf("ordb: table %s column %s: %w", t.Name, t.Cols[i].Name, err)
-		}
-		checked[i] = cv
+	if err != nil {
+		return err
 	}
 	t.db.mu.Lock()
-	row, _ := t.oidIndex.get(oid)
-	t.db.mu.Unlock()
-	if row == nil {
-		return fmt.Errorf("ordb: %s oid %d: %w", t.Name, oid, ErrDanglingRef)
-	}
-	// Constraint checking (PK uniqueness would compare against the row
-	// itself; skip PK re-check when key columns are unchanged).
-	for i, c := range t.Cols {
-		if (c.NotNull || c.PrimaryKey) && IsNull(checked[i]) {
-			return fmt.Errorf("ordb: table %s column %s: %w", t.Name, c.Name, ErrNotNull)
-		}
-		if c.Scope != "" {
-			if err := t.db.checkScope(checked[i], c.Scope); err != nil {
-				return fmt.Errorf("ordb: table %s column %s: %w", t.Name, c.Name, err)
-			}
-		}
-	}
-	for _, chk := range t.Checks {
-		ok, err := chk.Eval(rowView{t: t, vals: checked})
-		if err != nil {
-			return fmt.Errorf("ordb: table %s CHECK (%s): %w", t.Name, chk, err)
-		}
-		if !ok {
-			return fmt.Errorf("ordb: table %s: CHECK (%s): %w", t.Name, chk, ErrCheck)
-		}
-	}
-	t.db.mu.Lock()
-	ok := t.replaceRowLocked(row, -1, checked)
+	row := t.trie.get(uint64(oid))
+	ok := row != nil && t.replaceRowLocked(row, checked)
 	if ok {
 		t.markDirtyLocked()
 		t.db.maybePublishLocked()
@@ -629,84 +593,23 @@ func (t *Table) UpdateWhere(pred func(*Row) (bool, error), transform func(vals [
 	if err := t.db.writable(); err != nil {
 		return 0, err
 	}
-	t.db.mu.RLock()
-	rows := append([]*Row(nil), t.rows...)
-	t.db.mu.RUnlock()
-	type change struct {
-		row  *Row
-		vals []Value
-	}
-	var changes []change
-	for _, r := range rows {
-		ok, err := pred(r)
-		if err != nil {
-			return 0, err
+	var rows []*Row
+	var vals [][]Value
+	var err error
+	t.Scan(func(r *Row) bool {
+		var checked []Value
+		if checked, err = t.updated(r, pred, transform); checked != nil {
+			rows, vals = append(rows, r), append(vals, checked)
 		}
-		if !ok {
-			continue
-		}
-		nv, err := transform(r.Vals)
-		if err != nil {
-			return 0, err
-		}
-		if len(nv) != len(t.Cols) {
-			return 0, fmt.Errorf("ordb: table %s: update produced %d values for %d columns: %w",
-				t.Name, len(nv), len(t.Cols), ErrArity)
-		}
-		checked := make([]Value, len(nv))
-		for i, v := range nv {
-			cv, err := t.db.conform(v, t.Cols[i].Type)
-			if err != nil {
-				return 0, fmt.Errorf("ordb: table %s column %s: %w", t.Name, t.Cols[i].Name, err)
-			}
-			checked[i] = cv
-		}
-		for i, c := range t.Cols {
-			if (c.NotNull || c.PrimaryKey) && IsNull(checked[i]) {
-				return 0, fmt.Errorf("ordb: table %s column %s: %w", t.Name, c.Name, ErrNotNull)
-			}
-			if c.Scope != "" {
-				if err := t.db.checkScope(checked[i], c.Scope); err != nil {
-					return 0, fmt.Errorf("ordb: table %s column %s: %w", t.Name, c.Name, err)
-				}
-			}
-		}
-		for _, chk := range t.Checks {
-			ok, err := chk.Eval(rowView{t: t, vals: checked})
-			if err != nil {
-				return 0, fmt.Errorf("ordb: table %s CHECK (%s): %w", t.Name, chk, err)
-			}
-			if !ok {
-				return 0, fmt.Errorf("ordb: table %s: CHECK (%s): %w", t.Name, chk, ErrCheck)
-			}
-		}
-		changes = append(changes, change{row: r, vals: checked})
+		return err == nil
+	})
+	if err != nil {
+		return 0, err
 	}
 	t.db.mu.Lock()
-	// Positions are needed to swap published rows; resolve them in one
-	// pass when any change targets one.
-	var pos map[*Row]int
-	for _, c := range changes {
-		if c.row.epoch == t.db.epoch {
-			continue
-		}
-		pos = make(map[*Row]int, len(t.rows))
-		for i, r := range t.rows {
-			pos[r] = i
-		}
-		break
-	}
 	applied := 0
-	for _, c := range changes {
-		idx := -1
-		if pos != nil {
-			if i, ok := pos[c.row]; ok {
-				idx = i
-			} else if c.row.epoch != t.db.epoch {
-				continue // row vanished between phases
-			}
-		}
-		if t.replaceRowLocked(c.row, idx, c.vals) {
+	for i, r := range rows {
+		if t.replaceRowLocked(r, vals[i]) {
 			applied++
 		}
 	}
@@ -716,6 +619,23 @@ func (t *Table) UpdateWhere(pred func(*Row) (bool, error), transform func(vals [
 	}
 	t.db.mu.Unlock()
 	return applied, nil
+}
+
+// updated returns the validated values UpdateWhere gives r, or nil when
+// pred does not match it.
+func (t *Table) updated(r *Row, pred func(*Row) (bool, error), transform func([]Value) ([]Value, error)) ([]Value, error) {
+	if ok, err := pred(r); !ok || err != nil {
+		return nil, err
+	}
+	nv, err := transform(r.Vals)
+	if err != nil {
+		return nil, err
+	}
+	checked, err := t.conformed(nv)
+	if err != nil {
+		return nil, err
+	}
+	return checked, t.checkRow(checked, ErrNotNull, false)
 }
 
 // ReplaceWhere re-validates vals and replaces the first row matching pred,
@@ -728,52 +648,59 @@ func (t *Table) ReplaceWhere(pred func(*Row) bool, vals []Value) (bool, error) {
 	if err := t.db.fault(FaultReplace); err != nil {
 		return false, fmt.Errorf("ordb: table %s: %w", t.Name, err)
 	}
-	if len(vals) != len(t.Cols) {
-		return false, fmt.Errorf("ordb: table %s: got %d values for %d columns: %w",
-			t.Name, len(vals), len(t.Cols), ErrArity)
-	}
-	checked := make([]Value, len(vals))
-	for i, v := range vals {
-		cv, err := t.db.conform(v, t.Cols[i].Type)
-		if err != nil {
-			return false, fmt.Errorf("ordb: table %s column %s: %w", t.Name, t.Cols[i].Name, err)
-		}
-		checked[i] = cv
+	checked, err := t.conformed(vals)
+	if err != nil {
+		return false, err
 	}
 	t.db.mu.Lock()
 	defer t.db.mu.Unlock()
-	for i, r := range t.rows {
+	var found *Row
+	t.db.stats.RowsScanned.Add(int64(t.trie.each(func(r *Row) bool {
 		if pred(r) {
-			t.replaceRowLocked(r, i, checked)
-			t.markDirtyLocked()
-			t.db.maybePublishLocked()
-			return true, nil
+			found = r
 		}
+		return found == nil
+	})))
+	if found == nil {
+		return false, nil
 	}
-	return false, nil
+	t.replaceRowLocked(found, checked)
+	t.markDirtyLocked()
+	t.db.maybePublishLocked()
+	return true, nil
 }
 
 // FetchByOID returns the row object with the given OID, dereferencing a
 // REF. The returned value is the stored object (row type instance).
 func (db *DB) FetchByOID(table string, oid OID) (*Object, error) {
-	t, err := db.Table(table)
+	t, row, err := db.DerefRow(Ref{Table: table, OID: oid})
 	if err != nil {
 		return nil, err
 	}
+	return &Object{TypeName: t.RowType.Name, Attrs: row.Vals}, nil
+}
+
+// DerefRow resolves a REF to its table and the stored row itself, for a
+// caller that goes on to delete the row (DeleteRows).
+func (db *DB) DerefRow(r Ref) (*Table, *Row, error) {
+	t, err := db.Table(r.Table)
+	if err != nil {
+		return nil, nil, err
+	}
 	if !t.IsObjectTable() {
-		return nil, fmt.Errorf("ordb: table %s is not an object table", table)
+		return nil, nil, fmt.Errorf("ordb: table %s is not an object table", r.Table)
 	}
 	if err := db.fault(FaultDeref); err != nil {
-		return nil, fmt.Errorf("ordb: %s oid %d: %w", table, oid, err)
+		return nil, nil, fmt.Errorf("ordb: %s oid %d: %w", r.Table, r.OID, err)
 	}
 	db.stats.Derefs.Add(1)
 	db.rlock()
-	found, _ := t.oidIndex.get(oid)
+	found := t.trie.get(uint64(r.OID))
 	db.runlock()
 	if found == nil {
-		return nil, fmt.Errorf("ordb: %s oid %d: %w", table, oid, ErrDanglingRef)
+		return nil, nil, fmt.Errorf("ordb: %s oid %d: %w", r.Table, r.OID, ErrDanglingRef)
 	}
-	return &Object{TypeName: t.RowType.Name, Attrs: found.Vals}, nil
+	return t, found, nil
 }
 
 // Deref resolves a REF value to its row object.

@@ -95,7 +95,7 @@ func (db *DB) observer() TxObserver {
 // held, in reverse order of logging.
 type undoRec interface{ revert() }
 
-// undoInsert removes an appended row again. counted marks inserts that
+// undoInsert removes an inserted row again. counted marks inserts that
 // incremented the Inserts stats counter (RestoreRow does not).
 type undoInsert struct {
 	t       *Table
@@ -104,80 +104,35 @@ type undoInsert struct {
 }
 
 func (u undoInsert) revert() {
-	t := u.t
-	for i := len(t.rows) - 1; i >= 0; i-- {
-		if t.rows[i] == u.row {
-			if i == len(t.rows)-1 {
-				// The common case — inserts are undone in reverse order —
-				// and a pure truncation, safe even on a shared array.
-				t.rows = t.rows[:i]
-			} else {
-				t.privatizeRowsLocked()
-				t.rows = append(t.rows[:i], t.rows[i+1:]...)
-			}
-			break
-		}
-	}
-	if u.row.OID != 0 {
-		t.oidIndex = t.oidIndex.del(t.db.epoch, u.row.OID)
-	}
-	t.indexRemoveLocked(u.row)
-	t.maxLeaveLocked(u.row.Vals)
+	u.t.trie = u.t.trie.del(u.t.edit.Load(), u.row.key)
+	u.t.indexRemoveLocked(u.row)
+	u.t.maxLeaveLocked(u.row.Vals)
 }
 
-// undoDelete restores the pre-delete row slice and re-indexes OIDs.
-// prevShared preserves whether that slice's backing array was reachable
-// from a published version when the delete logged it.
+// undoDelete puts deleted rows back under their keys.
 type undoDelete struct {
-	t          *Table
-	prev       []*Row
-	prevShared bool
-	removed    []*Row
+	t       *Table
+	removed []*Row
 }
 
 func (u undoDelete) revert() {
-	u.t.rows = u.prev
-	u.t.rowsShared = u.prevShared
 	for _, r := range u.removed {
-		if r.OID != 0 {
-			u.t.oidIndex = u.t.oidIndex.set(u.t.db.epoch, r.OID, r)
-		}
+		u.t.trie = u.t.trie.set(u.t.edit.Load(), r)
 		u.t.indexInsertLocked(r)
 		u.t.maxEnterLocked(r.Vals)
 	}
 }
 
-// undoReplace restores a row's previous values in place. Logged only for
-// rows still private to the live side (see Table.replaceRowLocked), so
-// the in-place write cannot race a published reader.
-type undoReplace struct {
-	t    *Table
-	row  *Row
-	prev []Value
-}
-
-func (u undoReplace) revert() {
-	u.t.indexRekeyLocked(u.row, u.row.Vals, u.prev)
-	u.t.maxReplaceLocked(u.row.Vals, u.prev)
-	u.row.Vals = u.prev
-}
-
-// undoSwap reinstates the original Row object after a copy-on-write
-// replacement of a published row. idx stays valid at revert time: the
-// undo log unwinds in reverse, so any later reshaping of the rows slice
-// has already been reverted, and no publish can happen mid-transaction.
+// undoSwap reinstates the original Row object, under the same key, after
+// a copy-on-write replacement (Table.replaceRowLocked).
 type undoSwap struct {
 	t    *Table
-	idx  int
 	old  *Row
 	repl *Row
 }
 
 func (u undoSwap) revert() {
-	u.t.rows[u.idx] = u.old
-	if u.old.OID != 0 {
-		u.t.oidIndex = u.t.oidIndex.set(u.t.db.epoch, u.old.OID, u.old)
-	}
+	u.t.trie = u.t.trie.set(u.t.edit.Load(), u.old)
 	u.t.indexRemoveLocked(u.repl)
 	u.t.indexInsertLocked(u.old)
 	u.t.maxReplaceLocked(u.repl.Vals, u.old.Vals)

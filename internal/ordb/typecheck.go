@@ -160,7 +160,7 @@ func (db *DB) conform(v Value, t Type) (Value, error) {
 			return nil, fmt.Errorf("REF into %s is not of type %s: %w", r.Table, ty.Target.Name, ErrTypeMismatch)
 		}
 		db.rlock()
-		_, exists := tbl.oidIndex.get(r.OID)
+		exists := tbl.trie.get(uint64(r.OID)) != nil
 		db.runlock()
 		if !exists {
 			return nil, fmt.Errorf("oid %d in %s: %w", r.OID, r.Table, ErrDanglingRef)

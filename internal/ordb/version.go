@@ -20,23 +20,19 @@ import (
 //   - Catalog maps are small (one entry per type/table/view) and are
 //     shallow-cloned per publish. Tables that saw no mutation since the
 //     previous publish reuse their previous frozen copy outright.
-//   - Row storage is captured by slice header. Mutators never overwrite
-//     a slot a published header can reach: appends land at indexes at or
-//     beyond every published length, deletes build a fresh slice, and
-//     element replacement privatizes the backing array first (see
-//     privatizeRowsLocked).
-//   - The OID index and every secondary index are persistent hash tries
-//     (pmap.go): capturing them is a struct copy, and live-side updates
-//     path-copy instead of mutating shared nodes — only trie nodes
-//     created since the last publish, which no version holds, are
-//     updated in place. Index buckets follow the same append-only
-//     discipline as the rows slice — removal always copies the bucket,
-//     never shifts it in place.
-//   - Individual rows are immutable once published. A Row carries the
-//     publish epoch it was created in; a row still private to the live
-//     side (epoch == current) may be fixed up in place (the loader's
-//     IDREF resolution), while updating a published row swaps in a fresh
-//     Row object, leaving the old one intact for concurrent readers.
+//   - A table's rows live in one persistent radix trie keyed by OID or
+//     insert sequence (rowtrie.go), which also answers REF dereference.
+//     Capturing it is a struct copy; live-side updates path-copy, except
+//     nodes stamped with the table's edit token, which no version holds
+//     and which are changed in place. Freezing a table renews its token,
+//     and so does a live Scan or Cursor, which reads its capture outside
+//     the lock (Table.captureLocked).
+//   - Every secondary index is a persistent hash trie (pmap.go) updated
+//     in place under the publish epoch by the same rule. Index buckets
+//     are append-only — removal always copies the bucket, never shifts
+//     it in place.
+//   - Stored rows are immutable: an update stores a fresh Row under the
+//     same key, leaving the old one intact for concurrent readers.
 //
 // Publication points: the end of every autocommit mutation, Tx.Commit
 // (after the WAL observer ran, so the version's LSN covers the commit
@@ -245,9 +241,9 @@ func restampFrozen(prev *DB, lsn uint64) *DB {
 	}
 }
 
-// freezeLocked captures an immutable copy of the table for version v.
-// Callers hold db.mu (write). Marks the live rows slice as shared so
-// subsequent element writes privatize it first.
+// freezeLocked captures an immutable copy of the table for version v and
+// seals the live trie, so later writes copy the nodes the copy holds.
+// Callers hold db.mu (write).
 func (t *Table) freezeLocked(v *DB) *Table {
 	ft := &Table{
 		Name:          t.Name,
@@ -256,8 +252,7 @@ func (t *Table) freezeLocked(v *DB) *Table {
 		Checks:        t.Checks,
 		NestedStorage: t.NestedStorage,
 		db:            v,
-		rows:          t.rows,
-		oidIndex:      t.oidIndex,
+		trie:          t.trie,
 		pkCols:        t.pkCols,
 		colNames:      t.colNames,
 		live:          t,
@@ -266,18 +261,7 @@ func (t *Table) freezeLocked(v *DB) *Table {
 	for i, ix := range t.indexes {
 		ft.indexes[i] = &Index{Name: ix.Name, Col: ix.Col, colIdx: ix.colIdx, rows: ix.rows, built: ix.built}
 	}
-	t.rowsShared = true
+	t.edit.Store(t.db.edits.Add(1))
 	t.verDirty = false
 	return ft
-}
-
-// privatizeRowsLocked ensures the rows backing array is not reachable
-// from any published version, copying it if necessary, so an element
-// can be overwritten in place. Callers hold db.mu (write).
-func (t *Table) privatizeRowsLocked() {
-	if !t.rowsShared {
-		return
-	}
-	t.rows = append(make([]*Row, 0, len(t.rows)+1), t.rows...)
-	t.rowsShared = false
 }

@@ -37,10 +37,11 @@ func (r *Retriever) Document(docID int) (*xmldom.Document, error) {
 	if err != nil {
 		return nil, err
 	}
-	rowVals := meta.DocRow(rootTab, docID)
-	if rowVals == nil {
+	row := meta.DocRow(rootTab, docID)
+	if row == nil {
 		return nil, fmt.Errorf("retrieval: document %d not found in %s", docID, r.sch.RootTable)
 	}
+	rowVals := row.Vals
 	doc := xmldom.NewDocument()
 	rm := r.sch.Elems[r.sch.RootElem]
 	b := &xmldom.Builder{}
