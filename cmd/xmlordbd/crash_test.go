@@ -53,7 +53,7 @@ type serverProc struct {
 // given durability policy and waits for the "listening on" banner.
 func startServerProc(t *testing.T, bin, dataDir, dtdFile, durability string) *serverProc {
 	t.Helper()
-	cmd := exec.Command(bin, "serve",
+	return launchProc(t, bin, "serve",
 		"-addr", "127.0.0.1:0",
 		"-dtd", dtdFile, "-name", "uni", "-root", "University",
 		"-snapshot-dir", dataDir,
@@ -61,6 +61,20 @@ func startServerProc(t *testing.T, bin, dataDir, dtdFile, durability string) *se
 		"-durability", durability,
 		"-wal-sync-interval", "25ms",
 	)
+}
+
+// launchProc starts an xmlordbd subprocess with the given args and
+// waits for its "listening on" banner.
+func launchProc(t *testing.T, bin string, args ...string) *serverProc {
+	t.Helper()
+	return startProcWithBanner(t, exec.Command(bin, args...), "listening on ")
+}
+
+// startProcWithBanner starts cmd, kills it when the test ends, and
+// waits up to 15 s for a stdout line beginning with banner; the first
+// field after the banner is the process's address.
+func startProcWithBanner(t *testing.T, cmd *exec.Cmd, banner string) *serverProc {
+	t.Helper()
 	stdout, err := cmd.StdoutPipe()
 	if err != nil {
 		t.Fatal(err)
@@ -79,8 +93,7 @@ func startServerProc(t *testing.T, bin, dataDir, dtdFile, durability string) *se
 	go func() {
 		sc := bufio.NewScanner(stdout)
 		for sc.Scan() {
-			line := sc.Text()
-			if rest, ok := strings.CutPrefix(line, "listening on "); ok {
+			if rest, ok := strings.CutPrefix(sc.Text(), banner); ok {
 				addrCh <- strings.Fields(rest)[0]
 			}
 		}
@@ -90,7 +103,7 @@ func startServerProc(t *testing.T, bin, dataDir, dtdFile, durability string) *se
 		return &serverProc{cmd: cmd, addr: addr}
 	case <-time.After(15 * time.Second):
 		cmd.Process.Kill()
-		t.Fatal("server did not report its listen address")
+		t.Fatalf("process did not print %q", banner)
 		return nil
 	}
 }

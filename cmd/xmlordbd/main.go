@@ -5,7 +5,6 @@
 // Usage:
 //
 //	xmlordbd serve  [flags]                  # run the server
-//	xmlordbd router [flags] <shard-addr>...  # scatter-gather router over shard servers
 //	xmlordbd client [flags] <verb> [args...] # one-shot wire client
 //	xmlordbd repl   [flags]                  # interactive wire client
 //	xmlordbd wal    info|dump <store-dir>    # inspect a durable store's WAL
@@ -47,14 +46,6 @@
 //	-repl-sync-timeout 5s   semi-sync ack wait limit
 //	-repl-heartbeat 1s      replication stream idle heartbeat
 //	-repl-retry 500ms       replica reconnect backoff (exponential, 10s cap)
-//	-shard-index / -shard-count
-//	                        shard identity for a shard server behind an
-//	                        `xmlordbd router`: this process is shard
-//	                        <index> (0-based) of <count>
-//
-// Router (xmlordbd router -addr :7799 host1:7788 host2:7788 ...): -addr
-// is the TCP listen address; the positional shard addresses, in order,
-// are the topology.
 //
 // The server drains gracefully on SIGINT/SIGTERM: new connections are
 // refused, in-flight requests complete, dirty stores are checkpointed
@@ -62,7 +53,7 @@
 //
 // Client verbs:
 //
-//	ping | stores | stats | save | promote | position | shardmap
+//	ping | stores | stats | save | promote | position
 //	open  <name> <dtd-file> [root]      install a store from a DTD
 //	load  <doc.xml>...                  load documents, print DocIDs
 //	bulkload <doc.xml>...               pipelined bulk ingest: one BULKLOAD
@@ -91,7 +82,6 @@ import (
 	"xmlordb"
 	"xmlordb/internal/client"
 	"xmlordb/internal/server"
-	"xmlordb/internal/shard"
 	"xmlordb/internal/wire"
 )
 
@@ -109,8 +99,6 @@ func run(args []string, out io.Writer) error {
 	switch args[0] {
 	case "serve":
 		return runServe(args[1:], out)
-	case "router":
-		return runRouter(args[1:], out)
 	case "client":
 		return runClient(args[1:], out, false)
 	case "repl":
@@ -118,7 +106,7 @@ func run(args []string, out io.Writer) error {
 	case "wal":
 		return runWAL(args[1:], out)
 	default:
-		return fmt.Errorf("unknown subcommand %q (serve|router|client|repl|wal)", args[0])
+		return fmt.Errorf("unknown subcommand %q (serve|client|repl|wal)", args[0])
 	}
 }
 
@@ -143,8 +131,6 @@ func runServe(args []string, out io.Writer) error {
 		syncTimeout  = fs.Duration("repl-sync-timeout", 0, "semi-sync ack wait limit (default 5s)")
 		replHB       = fs.Duration("repl-heartbeat", 0, "replication stream heartbeat interval")
 		replRetry    = fs.Duration("repl-retry", 0, "replica reconnect backoff (doubles up to a 10s cap)")
-		shardIndex   = fs.Int("shard-index", 0, "this server's 0-based slot in a sharded topology (with -shard-count)")
-		shardCount   = fs.Int("shard-count", 0, "shard topology size this server belongs to (0 = unsharded)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -164,14 +150,9 @@ func runServe(args []string, out io.Writer) error {
 		ReplSyncTimeout:  *syncTimeout,
 		ReplHeartbeat:    *replHB,
 		ReplRetry:        *replRetry,
-		ShardIndex:       *shardIndex,
-		ShardCount:       *shardCount,
 		Logf: func(format string, a ...any) {
 			fmt.Fprintf(os.Stderr, "xmlordbd: "+format+"\n", a...)
 		},
-	}
-	if *shardCount > 1 && (*shardIndex < 0 || *shardIndex >= *shardCount) {
-		return fmt.Errorf("-shard-index %d out of range for -shard-count %d", *shardIndex, *shardCount)
 	}
 	srv := server.New(cfg)
 	restored, err := srv.RestoreDir()
@@ -222,58 +203,6 @@ func runServe(args []string, out io.Writer) error {
 		shutdownCtx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
 		defer cancel()
 		if err := srv.Shutdown(shutdownCtx); err != nil {
-			return fmt.Errorf("shutdown: %w", err)
-		}
-		fmt.Fprintln(out, "bye")
-		return nil
-	}
-}
-
-// runRouter serves a scatter-gather router over the shard servers given
-// as positional arguments, index-aligned: the first address is shard 0,
-// and every router fronting the same shards must list them in the same
-// order. It runs until SIGINT/SIGTERM, then drains.
-func runRouter(args []string, out io.Writer) error {
-	fs := flag.NewFlagSet("router", flag.ContinueOnError)
-	addr := fs.String("addr", ":7799", "TCP listen address")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	shardAddrs := fs.Args()
-	if len(shardAddrs) == 0 {
-		return fmt.Errorf("usage: router [flags] <shard-addr>... (shard order is the topology)")
-	}
-	r, err := shard.NewRouter(shard.Config{
-		Addrs: shardAddrs,
-		Logf: func(format string, a ...any) {
-			fmt.Fprintf(os.Stderr, "xmlordbd: "+format+"\n", a...)
-		},
-	})
-	if err != nil {
-		return err
-	}
-
-	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
-	defer stop()
-	errc := make(chan error, 1)
-	go func() { errc <- r.ListenAndServe(*addr) }()
-	for r.Addr() == nil {
-		select {
-		case err := <-errc:
-			return err
-		case <-time.After(5 * time.Millisecond):
-		}
-	}
-	fmt.Fprintf(out, "router listening on %s (%d shard(s): %v)\n", r.Addr(), r.Shards(), r.Map().Addrs)
-
-	select {
-	case err := <-errc:
-		return err
-	case <-ctx.Done():
-		fmt.Fprintln(out, "draining...")
-		shutdownCtx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
-		defer cancel()
-		if err := r.Shutdown(shutdownCtx); err != nil {
 			return fmt.Errorf("shutdown: %w", err)
 		}
 		fmt.Fprintln(out, "bye")
@@ -472,19 +401,6 @@ func clientVerb(ctx context.Context, c *client.Client, args []string, out io.Wri
 		}
 		fmt.Fprintf(out, "role %s, epoch %d, durable lsn %d, primary %s, members %v\n",
 			resp.Role, resp.Epoch, resp.LSN, resp.Primary, resp.Peers)
-	case "shardmap":
-		m, err := c.ShardMap(ctx)
-		if err != nil {
-			return err
-		}
-		if m == nil || m.Count == 0 {
-			fmt.Fprintln(out, "unsharded")
-			return nil
-		}
-		fmt.Fprintf(out, "%d shard(s), hash %s\n", m.Count, m.Hash)
-		for i, a := range m.Addrs {
-			fmt.Fprintf(out, "  shard %d: %s\n", i, a)
-		}
 	case "begin":
 		return c.Begin(ctx)
 	case "commit":

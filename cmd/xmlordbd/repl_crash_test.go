@@ -1,12 +1,8 @@
 package main
 
 import (
-	"bufio"
 	"context"
 	"fmt"
-	"os"
-	"os/exec"
-	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -25,44 +21,6 @@ import (
 //   - the promoted server accepts writes;
 //   - a stale replica pointed at the promoted primary re-seeds via
 //     snapshot transfer and converges to the same row count and LSN.
-
-// launchProc starts an xmlordbd subprocess with the given serve args
-// and waits for its "listening on" banner.
-func launchProc(t *testing.T, bin string, args ...string) *serverProc {
-	t.Helper()
-	cmd := exec.Command(bin, args...)
-	stdout, err := cmd.StdoutPipe()
-	if err != nil {
-		t.Fatal(err)
-	}
-	cmd.Stderr = os.Stderr
-	if err := cmd.Start(); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() {
-		if cmd.Process != nil {
-			cmd.Process.Kill()
-			cmd.Wait()
-		}
-	})
-	addrCh := make(chan string, 1)
-	go func() {
-		sc := bufio.NewScanner(stdout)
-		for sc.Scan() {
-			if rest, ok := strings.CutPrefix(sc.Text(), "listening on "); ok {
-				addrCh <- strings.Fields(rest)[0]
-			}
-		}
-	}()
-	select {
-	case addr := <-addrCh:
-		return &serverProc{cmd: cmd, addr: addr}
-	case <-time.After(15 * time.Second):
-		cmd.Process.Kill()
-		t.Fatal("server did not report its listen address")
-		return nil
-	}
-}
 
 // startPrimaryProc launches a durable primary hosting store "uni" with
 // tiny WAL segments so checkpoints truncate aggressively.

@@ -251,8 +251,7 @@ type BulkOptions struct {
 }
 
 // BulkLoad pushes a batch of documents through the server's pipelined
-// ingest subsystem (against a router, each document's owning shard runs
-// its own pipeline). The BulkResult carries per-document outcomes and
+// ingest subsystem. The BulkResult carries per-document outcomes and
 // is returned even alongside a non-nil error: batches that committed
 // before a failure are real, and the result says which documents landed.
 func (c *Client) BulkLoad(ctx context.Context, docs []wire.BulkDoc, opts BulkOptions) (*wire.BulkResult, error) {

@@ -33,10 +33,10 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
-	"sync/atomic"
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"xmlordb"
@@ -130,17 +130,6 @@ type Config struct {
 	// Deprecated: kept for the benchmark module; remove with the next
 	// [benchmark] PR.
 	Backend string
-	// ShardCount / ShardIndex give the server a shard identity: this is
-	// shard ShardIndex (0-based) of a ShardCount-wide topology behind a
-	// shard router. A shard server speaks global DocIDs on the wire —
-	// the session layer translates them to and from the engine's local
-	// DocIDs with the internal/shard codec — and rejects requests whose
-	// topology assertion (Request.Shards/Shard) or DocID ownership
-	// disagrees with its slot, with wire.CodeShardMismatch. ShardCount
-	// <= 1 means unsharded: the codec is the identity and assertions of
-	// larger topologies are rejected.
-	ShardCount int
-	ShardIndex int
 	// IngestWorkers is the default parse/shred concurrency for BULKLOAD
 	// requests that do not choose their own (0 = GOMAXPROCS).
 	IngestWorkers int
@@ -726,10 +715,6 @@ func (s *Server) statsPayload() *wire.Stats {
 		Timeouts:      s.metrics.timeouts.Load(),
 		Oversized:     s.metrics.oversized.Load(),
 		Verbs:         s.metrics.verbStats(),
-	}
-	if s.cfg.ShardCount > 1 {
-		st.ShardCount = s.cfg.ShardCount
-		st.ShardIndex = s.cfg.ShardIndex
 	}
 	for _, hs := range hosted {
 		// The lock-free ref, not hs.store: a replication snapshot

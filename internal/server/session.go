@@ -153,6 +153,12 @@ func (ss *session) handle(line []byte) (*wire.Response, bool) {
 		return &wire.Response{OK: false, Code: wire.CodeBadRequest, Error: err.Error()}, true
 	}
 	verb := strings.ToUpper(req.Verb)
+	if !knownVerbs[verb] {
+		// The verb is client-chosen text: every unknown spelling shares
+		// one STATS row, so a client cannot grow STATS without bound.
+		ss.srv.metrics.observe(unknownVerb, 0, false)
+		return fail(wire.CodeBadRequest, "unknown verb %q", req.Verb), false
+	}
 
 	var watchdog *time.Timer
 	var timedOut atomic.Bool
@@ -164,7 +170,7 @@ func (ss *session) handle(line []byte) (*wire.Response, bool) {
 		})
 	}
 	start := time.Now()
-	resp := ss.dispatchRouted(verb, req)
+	resp := ss.dispatch(verb, req)
 	if watchdog != nil {
 		watchdog.Stop()
 	}
@@ -326,6 +332,18 @@ func (ss *session) waitApplied(hs *hostedStore, want uint64) *wire.Response {
 		time.Sleep(100 * time.Microsecond)
 	}
 	return nil
+}
+
+// knownVerbs is every verb dispatch serves; handle answers any other
+// verb bad_request before dispatch.
+var knownVerbs = map[string]bool{
+	wire.VerbPing: true, wire.VerbQuit: true, wire.VerbStores: true,
+	wire.VerbStats: true, wire.VerbPosition: true, wire.VerbReplicate: true,
+	wire.VerbPromote: true, wire.VerbOpen: true, wire.VerbUse: true,
+	wire.VerbLoad: true, wire.VerbBulkLoad: true, wire.VerbRetrieve: true,
+	wire.VerbDelete: true, wire.VerbXPath: true, wire.VerbSQL: true,
+	wire.VerbBegin: true, wire.VerbCommit: true, wire.VerbRollback: true,
+	wire.VerbSave: true,
 }
 
 // dispatch executes one decoded request.

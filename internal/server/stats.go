@@ -24,6 +24,10 @@ type metrics struct {
 	verbs map[string]*verbCounters
 }
 
+// unknownVerb is the STATS row that counts every request whose verb the
+// server does not serve.
+const unknownVerb = "UNKNOWN"
+
 type verbCounters struct {
 	count  atomic.Int64
 	errors atomic.Int64

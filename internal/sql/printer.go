@@ -135,13 +135,3 @@ func FormatSelect(s *SelectStmt) string {
 	}
 	return sb.String()
 }
-
-// ColumnName reports the output column name a select item produces:
-// its alias when present, otherwise the same default the executor uses
-// (trailing path part, upper-cased function name, ...).
-func ColumnName(item SelectItem) string {
-	if item.Alias != "" {
-		return item.Alias
-	}
-	return defaultColumnName(item.Expr)
-}

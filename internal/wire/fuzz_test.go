@@ -29,8 +29,11 @@ func FuzzWireDecode(f *testing.F) {
 		[]byte(`{"type":"resync"}`),
 		[]byte(`{"type":"err","error":"boom"}`),
 		[]byte(`{"lsn":12345}`),
-		// PR 8 shard topology: SHARDMAP exchange, topology assertions,
-		// per-shard error attribution, merged STATS.
+		// Frames of a retired protocol extension. The request verb still
+		// decodes and reaches the server's unknown-verb answer; the
+		// request fields it added hit the unknown-field rejection; the
+		// response fields it added are skipped by the lenient response
+		// decoder.
 		[]byte(`{"verb":"SHARDMAP"}`),
 		[]byte(`{"verb":"RETRIEVE","docid":7,"shards":4,"shard":3}`),
 		[]byte(`{"ok":true,"shard_map":{"count":4,"hash":"jump+fnv1a-64","addrs":["h0:1","h1:1","h2:1","h3:1"]}}`),

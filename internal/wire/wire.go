@@ -61,13 +61,6 @@ const (
 	// is the probe used by elections, the demotion guard and the RW
 	// client's primary rediscovery, so it must stay cheap and lock-light.
 	VerbPosition = "POSITION"
-	// VerbShardMap reports the shard topology of a sharded deployment:
-	// the shard count, the hash function and the per-shard addresses.
-	// A router answers with its configured topology; a shard server
-	// answers with its own identity (count + its slot); an unsharded
-	// server answers with a zero-count map. Clients cache the map to
-	// route single-document verbs straight to the owning shard.
-	VerbShardMap = "SHARDMAP"
 )
 
 // Error codes carried in Response.Code so typed clients can branch
@@ -86,22 +79,6 @@ const (
 	// behind for read-your-writes, and the client should try another
 	// replica or fall back to the primary.
 	CodeLagging = "lagging"
-	// CodeCrossShard rejects a write that would span shards: a session
-	// transaction is bound to the shard of its first write, and any
-	// later write routed to a different shard — or DDL, which must
-	// broadcast — fails with this code instead of half-applying.
-	CodeCrossShard = "cross_shard"
-	// CodeShardMismatch rejects a request whose asserted topology
-	// (Request.Shards / Request.Shard) disagrees with the server's own
-	// shard identity, or whose DocID does not belong to this shard. The
-	// client's shard map is stale: refresh it and re-route rather than
-	// misroute.
-	CodeShardMismatch = "shard_mismatch"
-	// CodeShardUnavailable reports that a shard could not be reached
-	// while routing a request: the write's owning shard is down, or a
-	// scatter read lost one of its fan-out legs. Response.ShardErrors
-	// names the shard(s).
-	CodeShardUnavailable = "shard_unavailable"
 )
 
 // Request is one client frame.
@@ -143,15 +120,6 @@ type Request struct {
 	// barrier. The server waits up to its read-wait budget, then fails
 	// with CodeLagging. 0 = read immediately.
 	WaitLSN uint64 `json:"wait_lsn,omitempty"`
-	// Shards asserts the shard count the client's cached map believes:
-	// a shard server whose own count differs rejects the request with
-	// CodeShardMismatch so the client refreshes instead of misrouting.
-	// 0 = no assertion.
-	Shards int `json:"shards,omitempty"`
-	// Shard asserts the 1-based shard ordinal (index+1) the client
-	// routed this request to. A shard server holding a different slot
-	// rejects with CodeShardMismatch. 0 = no assertion.
-	Shard int `json:"shard,omitempty"`
 	// Docs is the document batch for BULKLOAD.
 	Docs []BulkDoc `json:"docs,omitempty"`
 	// Workers sets the BULKLOAD pipeline's parse/shred concurrency
@@ -216,14 +184,6 @@ type Response struct {
 	// Peers is the cluster member list on POSITION responses: advertised
 	// addresses of the primary and its election-eligible replicas.
 	Peers []string `json:"peers,omitempty"`
-	// ShardMap carries the shard topology on SHARDMAP responses.
-	ShardMap *ShardMap `json:"shard_map,omitempty"`
-	// ShardErrors attributes a routed or scattered request's failures to
-	// the shard(s) that produced them. On a failed response the
-	// top-level Code/Error mirror the first (lowest-index) failure;
-	// this list carries every failing shard so callers can tell one
-	// dead shard from a total outage.
-	ShardErrors []ShardError `json:"shard_errors,omitempty"`
 	// Bulk carries the per-document outcome of a BULKLOAD.
 	Bulk *BulkResult `json:"bulk,omitempty"`
 }
@@ -238,36 +198,10 @@ type BulkResult struct {
 	Docs   []BulkDocResult `json:"docs,omitempty"`
 }
 
-// BulkDocResult is one document's outcome inside a BULKLOAD. Shard is
-// the 0-based shard that loaded the document on a routed bulk load
-// (-1 = unsharded), so callers can retrieve it directly.
+// BulkDocResult is one document's outcome inside a BULKLOAD.
 type BulkDocResult struct {
 	Name  string `json:"name,omitempty"`
 	DocID int    `json:"docid,omitempty"`
-	Error string `json:"error,omitempty"`
-	Shard int    `json:"shard,omitempty"`
-}
-
-// ShardMap is the shard topology of a sharded deployment. Count == 0
-// means the deployment is unsharded. Addrs, when present, is
-// index-aligned: Addrs[i] is the address of shard i, the hop a client
-// can dial directly for single-document verbs. Hash names the
-// name → shard function so independently written clients can route
-// LOADs without a round trip.
-type ShardMap struct {
-	Count int      `json:"count"`
-	Hash  string   `json:"hash,omitempty"`
-	Addrs []string `json:"addrs,omitempty"`
-}
-
-// ShardError is one shard's failure inside a routed or scattered
-// request. Shard is the 0-based shard index; Addr its address when the
-// router knows one; Code/Error mirror the shard's own response, with
-// CodeShardUnavailable standing in for transport failures.
-type ShardError struct {
-	Shard int    `json:"shard"`
-	Addr  string `json:"addr,omitempty"`
-	Code  string `json:"code,omitempty"`
 	Error string `json:"error,omitempty"`
 }
 
@@ -316,28 +250,6 @@ type Stats struct {
 	// Repl reports replication state: role, upstream, per-store feeder
 	// or applier positions. Nil when replication is not in play.
 	Repl *ReplStats `json:"repl,omitempty"`
-	// ShardCount / ShardIndex identify a shard server's slot in its
-	// topology (Index is 0-based; Count 0 = unsharded). On a router's
-	// merged STATS, ShardCount is the topology size and ShardIndex -1.
-	ShardCount int `json:"shard_count,omitempty"`
-	ShardIndex int `json:"shard_index,omitempty"`
-	// Shards reports per-shard health on a router's merged STATS: one
-	// entry per shard in index order, carrying the shard's own gauges
-	// or the error that kept them out of the merge. The router's
-	// StoreStats sum the per-shard counters by store name.
-	Shards []ShardStat `json:"shards,omitempty"`
-}
-
-// ShardStat is one shard's contribution to a router's merged STATS.
-type ShardStat struct {
-	Index int    `json:"index"`
-	Addr  string `json:"addr,omitempty"`
-	OK    bool   `json:"ok"`
-	Error string `json:"error,omitempty"`
-	// Documents totals the shard's documents across its stores.
-	Documents int `json:"documents,omitempty"`
-	// Sessions is the shard's open-session gauge.
-	Sessions int64 `json:"sessions,omitempty"`
 }
 
 // VerbStat counts one verb's requests and total latency.

@@ -156,72 +156,3 @@ func TestServerErrorMapping(t *testing.T) {
 		t.Fatal("OK response produced an error")
 	}
 }
-
-// TestShardFramesRoundTrip exercises the PR 8 shard-topology surface:
-// topology assertions on requests, the SHARDMAP payload, per-shard
-// error attribution, and the router's merged-STATS shard health list.
-func TestShardFramesRoundTrip(t *testing.T) {
-	req := Request{Verb: VerbRetrieve, DocID: 42, Shards: 4, Shard: 3}
-	var buf bytes.Buffer
-	if err := WriteFrame(&buf, &req); err != nil {
-		t.Fatal(err)
-	}
-	line, err := ReadFrame(bufio.NewReader(&buf), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := DecodeRequest(line)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(*got, req) {
-		t.Fatalf("request round trip: got %+v, want %+v", *got, req)
-	}
-
-	resp := &Response{
-		OK:   false,
-		Code: CodeShardUnavailable,
-		Error: "shard 1 unreachable",
-		ShardMap: &ShardMap{Count: 4, Hash: "jump+fnv1a-64",
-			Addrs: []string{"h0:1", "h1:1", "h2:1", "h3:1"}},
-		ShardErrors: []ShardError{
-			{Shard: 1, Addr: "h1:1", Code: CodeShardUnavailable, Error: "dial refused"},
-			{Shard: 3, Addr: "h3:1", Code: CodeEngine, Error: "boom"},
-		},
-		Stats: &Stats{ShardCount: 4, ShardIndex: -1, Shards: []ShardStat{
-			{Index: 0, Addr: "h0:1", OK: true, Documents: 9, Sessions: 2},
-			{Index: 1, Addr: "h1:1", OK: false, Error: "dial refused"},
-		}},
-	}
-	buf.Reset()
-	if err := WriteFrame(&buf, resp); err != nil {
-		t.Fatal(err)
-	}
-	line, err = ReadFrame(bufio.NewReader(&buf), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rt, err := DecodeResponse(line)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rt.ShardMap == nil || rt.ShardMap.Count != 4 || rt.ShardMap.Hash != "jump+fnv1a-64" ||
-		len(rt.ShardMap.Addrs) != 4 || rt.ShardMap.Addrs[2] != "h2:1" {
-		t.Fatalf("shard map round trip: %+v", rt.ShardMap)
-	}
-	if len(rt.ShardErrors) != 2 || rt.ShardErrors[0] != resp.ShardErrors[0] ||
-		rt.ShardErrors[1] != resp.ShardErrors[1] {
-		t.Fatalf("shard errors round trip: %+v", rt.ShardErrors)
-	}
-	if rt.Stats == nil || rt.Stats.ShardCount != 4 || rt.Stats.ShardIndex != -1 ||
-		len(rt.Stats.Shards) != 2 || rt.Stats.Shards[0] != resp.Stats.Shards[0] ||
-		rt.Stats.Shards[1] != resp.Stats.Shards[1] {
-		t.Fatalf("shard stats round trip: %+v", rt.Stats)
-	}
-	// The failure still reads as a typed error with the scatter's
-	// first-failure code, independent of the attribution detail.
-	var se *ServerError
-	if err := rt.Err(); !errors.As(err, &se) || se.Code != CodeShardUnavailable {
-		t.Fatalf("Err() = %v, want ServerError with %s", err, CodeShardUnavailable)
-	}
-}
