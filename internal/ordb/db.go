@@ -6,6 +6,7 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+	"unicode/utf8"
 )
 
 // DB is one object-relational database instance: a catalog of user-defined
@@ -122,6 +123,38 @@ func (db *DB) ResetStats() {
 }
 
 func key(name string) string { return strings.ToUpper(name) }
+
+// lookup reads the catalog map m at key(name) without building the key
+// string: an ASCII name of at most foldBuf bytes (every generated name)
+// is upper-cased into a stack buffer, and Go does not allocate for an
+// m[string(buf)] index. Any other name goes through key.
+func lookup[V any](m map[string]V, name string) (V, bool) {
+	var buf [foldBuf]byte
+	if len(name) <= len(buf) {
+		b := buf[:len(name)]
+		for i := 0; i < len(name); i++ {
+			c := name[i]
+			if c >= utf8.RuneSelf {
+				b = nil
+				break
+			}
+			if 'a' <= c && c <= 'z' {
+				c -= 'a' - 'A'
+			}
+			b[i] = c
+		}
+		if b != nil {
+			v, ok := m[string(b)]
+			return v, ok
+		}
+	}
+	v, ok := m[key(name)]
+	return v, ok
+}
+
+// foldBuf bounds the names lookup folds on the stack. Catalog names
+// are at most MaxIdentLen bytes; longer names go through key.
+const foldBuf = 64
 
 func checkIdent(name string) error {
 	if name == "" {
@@ -309,7 +342,7 @@ func (db *DB) checkAttrType(t Type) error {
 func (db *DB) Type(name string) (Type, error) {
 	db.rlock()
 	defer db.runlock()
-	t, ok := db.types[key(name)]
+	t, ok := lookup(db.types, name)
 	if !ok {
 		return nil, fmt.Errorf("ordb: type %q: %w", name, ErrNotFound)
 	}
@@ -460,7 +493,7 @@ func removeString(ss []string, s string) []string {
 func (db *DB) Table(name string) (*Table, error) {
 	db.rlock()
 	defer db.runlock()
-	t, ok := db.tables[key(name)]
+	t, ok := lookup(db.tables, name)
 	if !ok {
 		return nil, fmt.Errorf("ordb: table %q: %w", name, ErrNotFound)
 	}

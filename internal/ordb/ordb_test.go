@@ -116,6 +116,44 @@ func TestNavigateDotPath(t *testing.T) {
 	}
 }
 
+// TestCatalogLookupFolds: catalog lookups are case-insensitive with
+// strings.ToUpper semantics, non-ASCII names included, and an ASCII
+// lookup (every navigation step resolves its object type by name)
+// allocates nothing.
+func TestCatalogLookupFolds(t *testing.T) {
+	db := buildUniversityTypes(t)
+	for _, name := range []string{"Type_Student", "type_student", "TYPE_STUDENT"} {
+		if ty, err := db.Type(name); err != nil || NamedType(ty) != "Type_Student" {
+			t.Errorf("Type(%q) = %v, %v", name, ty, err)
+		}
+	}
+	if _, err := db.Type("Type_Studentx"); !errors.Is(err, ErrNotFound) {
+		t.Errorf("Type of a missing name: %v", err)
+	}
+	if _, err := db.CreateObjectType("Typ_Émile", []AttrDef{{Name: "a", Type: v4000()}}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.Type("typ_émile"); err != nil {
+		t.Errorf("non-ASCII name does not fold: %v", err)
+	}
+	long := strings.Repeat("x", 2*foldBuf)
+	if _, err := db.Type(long); !errors.Is(err, ErrNotFound) {
+		t.Errorf("Type of an over-long name: %v", err)
+	}
+	stud, err := db.conform(sampleStudentValue(), mustT(db.Type("Type_Student")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := []string{"attrCourse"}
+	if n := testing.AllocsPerRun(100, func() {
+		if _, err := db.NavigatePath(stud, path); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("NavigatePath allocates %.0f times per call", n)
+	}
+}
+
 func mustT(t Type, err error) Type {
 	if err != nil {
 		panic(err)

@@ -49,7 +49,7 @@ func (db *DB) CreateView(name, definition string, compiled any, orReplace bool) 
 func (db *DB) View(name string) (*View, error) {
 	db.rlock()
 	defer db.runlock()
-	v, ok := db.views[key(name)]
+	v, ok := lookup(db.views, name)
 	if !ok {
 		return nil, fmt.Errorf("ordb: view %q: %w", name, ErrNotFound)
 	}

@@ -1,5 +1,7 @@
 package sql
 
+import "xmlordb/internal/ordb"
+
 // Stmt is any parsed SQL statement.
 type Stmt interface{ stmtNode() }
 
@@ -208,6 +210,12 @@ type Lit struct {
 	Kind string
 	Str  string
 	Num  float64
+	// Val is the literal's value, boxed once by the parser so that
+	// evaluating it allocates nothing. The parsed tree is shared by
+	// every execution of a cached statement, so Val is never written
+	// after parsing. It is nil only for a malformed DATE literal, which
+	// reports its error when evaluated.
+	Val ordb.Value
 }
 
 func (*Lit) exprNode() {}

@@ -14,9 +14,12 @@ type scope struct {
 	// cols/vals hold the named columns of a table or view row.
 	cols []string
 	vals []ordb.Value
-	// whole is the row as a single value: the row object for object
-	// tables and TABLE() elements; nil for plain relational rows.
+	// whole is the row as a single value for TABLE() elements and
+	// one-column view rows; nil otherwise. Read it through value().
 	whole ordb.Value
+	// rowType names the row type of an object-table row, whose object
+	// value() boxes on demand so that binding the row allocates nothing.
+	rowType string
 	// table and oid identify the source row for REF().
 	table string
 	oid   ordb.OID
@@ -55,6 +58,16 @@ func (e *env) lookupColumn(name string) (ordb.Value, bool) {
 	return nil, false
 }
 
+// value returns the row as a single value, or nil for a plain
+// relational row. An object-table row is boxed into a fresh object on
+// every call, so no two result values share one.
+func (s *scope) value() ordb.Value {
+	if s.whole == nil && s.rowType != "" {
+		return &ordb.Object{TypeName: s.rowType, Attrs: s.vals}
+	}
+	return s.whole
+}
+
 // colValue resolves a column of a single scope.
 func (s *scope) colValue(name string) (ordb.Value, bool) {
 	for j, c := range s.cols {
@@ -73,22 +86,10 @@ func (s *scope) colValue(name string) (ordb.Value, bool) {
 func (en *Engine) eval(e Expr, ev *env) (ordb.Value, error) {
 	switch x := e.(type) {
 	case *Lit:
-		switch x.Kind {
-		case "string":
-			return ordb.Str(x.Str), nil
-		case "number":
-			return ordb.Num(x.Num), nil
-		case "null":
-			return ordb.Null{}, nil
-		case "date":
-			d, err := ParseDateLiteral(x.Str)
-			if err != nil {
-				return nil, err
-			}
-			return d, nil
-		default:
-			return nil, fmt.Errorf("sql: unknown literal kind %q", x.Kind)
+		if x.Val == nil { // a malformed DATE literal: report why
+			return ParseDateLiteral(x.Str)
 		}
+		return x.Val, nil
 	case *Path:
 		return en.evalPath(x, ev)
 	case *Call:
@@ -147,8 +148,8 @@ func (en *Engine) evalPath(p *Path, ev *env) (ordb.Value, error) {
 		if len(p.Parts) == 1 {
 			// Bare alias: the whole row value (for TABLE() elements and
 			// object tables) or an error for plain relational rows.
-			if s.whole != nil {
-				return s.whole, nil
+			if v := s.value(); v != nil {
+				return v, nil
 			}
 			return nil, fmt.Errorf("sql: alias %q does not denote a single value", head)
 		}
@@ -158,8 +159,8 @@ func (en *Engine) evalPath(p *Path, ev *env) (ordb.Value, error) {
 		if !ok {
 			// TABLE() scalar elements have no columns; allow navigation
 			// into the whole value instead.
-			if s.whole != nil {
-				return en.db.NavigatePath(s.whole, p.Parts[1:])
+			if v := s.value(); v != nil {
+				return en.db.NavigatePath(v, p.Parts[1:])
 			}
 			return nil, fmt.Errorf("sql: %s has no column %q", head, p.Parts[1])
 		}
@@ -191,10 +192,11 @@ func (en *Engine) evalCall(c *Call, ev *env) (ordb.Value, error) {
 		if err != nil {
 			return nil, err
 		}
-		if s.whole == nil {
+		v := s.value()
+		if v == nil {
 			return nil, fmt.Errorf("sql: VALUE(%s): not an object table row", s.alias)
 		}
-		return s.whole, nil
+		return v, nil
 	case "DEREF":
 		if len(c.Args) != 1 {
 			return nil, fmt.Errorf("sql: DEREF takes one argument")
@@ -346,7 +348,7 @@ func (en *Engine) evalBinary(b *Binary, ev *env) (ordb.Value, error) {
 		}
 		return boolVal(likeMatch(string(ls), string(rs))), nil
 	}
-	cmp, err := ordb.Compare(normalize(l), normalize(r))
+	cmp, err := compareTrimmed(l, r)
 	if err != nil {
 		return nil, err
 	}
@@ -368,13 +370,18 @@ func (en *Engine) evalBinary(b *Binary, ev *env) (ordb.Value, error) {
 	}
 }
 
-// normalize trims CHAR blank padding for comparisons (Oracle compares
-// CHAR with non-padded semantics against VARCHAR).
-func normalize(v ordb.Value) ordb.Value {
-	if s, ok := v.(ordb.Str); ok {
-		return ordb.Str(strings.TrimRight(string(s), " "))
+// compareTrimmed compares two non-NULL operands. Strings compare with
+// CHAR blank padding trimmed (Oracle compares CHAR with non-padded
+// semantics against VARCHAR), as plain strings, so a comparison boxes
+// nothing; any other pair goes to ordb.Compare, where a string against a
+// non-string is an error.
+func compareTrimmed(l, r ordb.Value) (int, error) {
+	ls, lok := l.(ordb.Str)
+	rs, rok := r.(ordb.Str)
+	if lok && rok {
+		return strings.Compare(strings.TrimRight(string(ls), " "), strings.TrimRight(string(rs), " ")), nil
 	}
-	return v
+	return ordb.Compare(l, r)
 }
 
 func asString(v ordb.Value) string {
@@ -404,28 +411,33 @@ func truthy(v ordb.Value) bool {
 	return ok && n != 0
 }
 
-// likeMatch implements SQL LIKE with % (any run) and _ (any single char).
+// likeMatch implements SQL LIKE with % (any run) and _ (any single
+// byte) in constant space. It matches left to right and, on a mismatch,
+// backtracks to the last % seen and lets it absorb one more byte of s;
+// an earlier % never needs revisiting, because the last one can absorb
+// anything an earlier one could.
 func likeMatch(s, pattern string) bool {
-	// Dynamic program over bytes; patterns are short.
-	m, n := len(s), len(pattern)
-	prev := make([]bool, m+1)
-	curr := make([]bool, m+1)
-	prev[0] = true
-	for j := 1; j <= n; j++ {
-		curr[0] = prev[0] && pattern[j-1] == '%'
-		for i := 1; i <= m; i++ {
-			switch pattern[j-1] {
-			case '%':
-				curr[i] = curr[i-1] || prev[i]
-			case '_':
-				curr[i] = prev[i-1]
-			default:
-				curr[i] = prev[i-1] && s[i-1] == pattern[j-1]
-			}
+	i, j := 0, 0
+	star, mark := -1, 0 // last % in pattern, and where in s it resumes
+	for i < len(s) {
+		switch {
+		case j < len(pattern) && pattern[j] == '%':
+			star, mark = j, i
+			j++
+		case j < len(pattern) && (pattern[j] == '_' || pattern[j] == s[i]):
+			i++
+			j++
+		case star >= 0:
+			mark++
+			i, j = mark, star+1
+		default:
+			return false
 		}
-		prev, curr = curr, prev
 	}
-	return prev[m]
+	for j < len(pattern) && pattern[j] == '%' {
+		j++
+	}
+	return j == len(pattern)
 }
 
 // ParseDateLiteral parses the body of a DATE 'yyyy-mm-dd' literal.

@@ -517,20 +517,14 @@ func (en *Engine) tableScope(t *ordb.Table, alias string, r *ordb.Row) *scope {
 }
 
 // fillTableScope populates a (possibly recycled) scope for one row of a
-// base table. The column-name slice is the table's shared cache, never a
-// fresh allocation.
+// base table without allocating: the column-name slice is the table's
+// shared cache, and an object-table row is boxed only if value() asks.
 func fillTableScope(s *scope, t *ordb.Table, alias string, r *ordb.Row) {
 	if alias == "" {
 		alias = t.Name
 	}
-	s.alias = alias
-	s.table = t.Name
-	s.oid = r.OID
-	s.cols = t.ColNames()
-	s.vals = r.Vals
-	s.rowView = nil
-	s.whole = nil
+	*s = scope{alias: alias, table: t.Name, oid: r.OID, cols: t.ColNames(), vals: r.Vals}
 	if t.IsObjectTable() {
-		s.whole = &ordb.Object{TypeName: t.RowType.Name, Attrs: r.Vals}
+		s.rowType = t.RowType.Name
 	}
 }

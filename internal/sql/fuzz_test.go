@@ -70,3 +70,48 @@ func FuzzParseSQL(f *testing.F) {
 		}
 	})
 }
+
+// likeMatchDP is the dynamic-programming LIKE matcher likeMatch
+// replaced: quadratic time and linear space, but obviously right. It
+// stays as the oracle the constant-space matcher is checked against.
+func likeMatchDP(s, pattern string) bool {
+	m, n := len(s), len(pattern)
+	prev := make([]bool, m+1)
+	curr := make([]bool, m+1)
+	prev[0] = true
+	for j := 1; j <= n; j++ {
+		curr[0] = prev[0] && pattern[j-1] == '%'
+		for i := 1; i <= m; i++ {
+			switch pattern[j-1] {
+			case '%':
+				curr[i] = curr[i-1] || prev[i]
+			case '_':
+				curr[i] = prev[i-1]
+			default:
+				curr[i] = prev[i-1] && s[i-1] == pattern[j-1]
+			}
+		}
+		prev, curr = curr, prev
+	}
+	return prev[m]
+}
+
+// FuzzLike: the constant-space LIKE matcher agrees with the
+// dynamic-programming oracle on every string and pattern.
+func FuzzLike(f *testing.F) {
+	for _, c := range [][2]string{
+		{"Database Systems", "%Systems"},
+		{"CAD", "C_D"},
+		{"mississippi", "m%iss%pi"},
+		{"aaab", "%a%ab"},
+		{"", "%_%"},
+		{"100%", "1%0_"},
+	} {
+		f.Add(c[0], c[1])
+	}
+	f.Fuzz(func(t *testing.T, s, pattern string) {
+		if got, want := likeMatch(s, pattern), likeMatchDP(s, pattern); got != want {
+			t.Fatalf("likeMatch(%q, %q) = %v, oracle says %v", s, pattern, got, want)
+		}
+	})
+}

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+
+	"xmlordb/internal/ordb"
 )
 
 type parser struct {
@@ -860,17 +862,17 @@ func (p *parser) parsePrimary() (Expr, error) {
 	switch {
 	case t.kind == tokString:
 		p.pos++
-		return &Lit{Kind: "string", Str: t.text}, nil
+		return &Lit{Kind: "string", Str: t.text, Val: ordb.Str(t.text)}, nil
 	case t.kind == tokNumber:
 		p.pos++
 		f, err := strconv.ParseFloat(t.text, 64)
 		if err != nil {
 			return nil, p.errf("bad number %q", t.text)
 		}
-		return &Lit{Kind: "number", Num: f}, nil
+		return &Lit{Kind: "number", Num: f, Val: ordb.Num(f)}, nil
 	case t.kind == tokKeyword && t.text == "NULL":
 		p.pos++
-		return &Lit{Kind: "null"}, nil
+		return &Lit{Kind: "null", Val: ordb.Null{}}, nil
 	case t.kind == tokKeyword && t.text == "DATE":
 		p.pos++
 		s := p.cur()
@@ -878,7 +880,10 @@ func (p *parser) parsePrimary() (Expr, error) {
 			return nil, p.errf("expected date literal string")
 		}
 		p.pos++
-		return &Lit{Kind: "date", Str: s.text}, nil
+		// A malformed date is not a parse error: it fails when the
+		// literal is evaluated (Val stays nil), as it always has.
+		d, _ := ParseDateLiteral(s.text)
+		return &Lit{Kind: "date", Str: s.text, Val: d}, nil
 	case t.kind == tokSymbol && t.text == "-":
 		p.pos++
 		e, err := p.parsePrimary()

@@ -662,11 +662,24 @@ func TestLikeMatch(t *testing.T) {
 		{"", "_", false},
 		{"aXbXc", "a%b%c", true},
 		{"mississippi", "%iss%pi", true},
+		{"mississippi", "m%iss%ppx", false},
+		{"", "%%", true},
+		{"abcabd", "%ab_", true},
+		{"abcabc", "%abd%", false},
+		{"aaab", "%a%ab", true},
+		{"a%b", "a_b", true},
+		{"ab", "a%%b%", true},
 	}
 	for _, tc := range cases {
 		if got := likeMatch(tc.s, tc.p); got != tc.want {
 			t.Errorf("likeMatch(%q,%q) = %v", tc.s, tc.p, got)
 		}
+		if got := likeMatchDP(tc.s, tc.p); got != tc.want {
+			t.Errorf("likeMatchDP(%q,%q) = %v", tc.s, tc.p, got)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { likeMatch("mississippi", "m%iss%pi") }); n != 0 {
+		t.Errorf("likeMatch allocates %.0f times per call", n)
 	}
 }
 

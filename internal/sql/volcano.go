@@ -15,9 +15,13 @@ import (
 // and aggregation step is a closure built here that reads the shared
 // evaluation environment `ev`, which the FROM legs keep bound to the
 // current row combination. The single-threaded pull discipline makes
-// that side-effect binding safe, and keeps per-row allocation at zero on
-// the scan path (scopes come from the execState free list, exactly as
-// the previous eager enumerator did).
+// that side-effect binding safe. Binding a row allocates nothing: scopes
+// come from the execState free list, each unnest leg reuses one iterator,
+// literals are boxed by the parser and catalog lookups fold names on the
+// stack. TestScanAllocations (root package) pins it: the read_mix join and
+// XPath over 1 000 Appendix A documents stay under a fixed allocation
+// ceiling, and a larger store adds no allocations beyond its added
+// result rows.
 
 // buildSelect compiles sel into an executable plan rooted at a node
 // whose rows are the final result rows. outer supplies the environment
@@ -36,7 +40,7 @@ func (en *Engine) buildSelect(sel *SelectStmt, outer *env) (exec.Node, []string,
 	legs := make([]exec.Leg, len(sel.From))
 	for i, item := range sel.From {
 		if item.Unnest != nil {
-			legs[i] = &unnestLeg{en: en, ev: ev, st: st, item: item, idx: i}
+			legs[i] = en.newUnnestLeg(ev, st, item, i)
 		} else {
 			legs[i] = en.newSourceLeg(ev, st, item, i, plan.join(i))
 		}
@@ -531,21 +535,36 @@ func (it *viewLegIter) Close() error {
 }
 
 // unnestLeg is a lateral TABLE(expr) item: the collection expression is
-// re-evaluated against the outer bindings every time the leg opens.
+// re-evaluated against the outer bindings every time the leg opens. The
+// join closes a leg before it reopens it, so the leg keeps one iterator
+// and reuses it on every Open, together with the attribute-column cache:
+// an unnest under an outer scan allocates nothing per outer row.
 type unnestLeg struct {
-	en   *Engine
-	ev   *env
-	st   *execState
-	item FromItem
-	idx  int
+	en    *Engine
+	ev    *env
+	st    *execState
+	item  FromItem
+	alias string
+	it    unnestLegIter
+	// attrTypeName/attrCols cache the attribute names of the element
+	// object type: collection elements are homogeneous, so one lookup
+	// serves every element of every open.
+	attrTypeName string
+	attrCols     []string
+	// scalar backs the COLUMN_VALUE of a scalar element.
+	scalar [1]ordb.Value
+}
+
+func (en *Engine) newUnnestLeg(ev *env, st *execState, item FromItem, idx int) *unnestLeg {
+	alias := item.Alias
+	if alias == "" {
+		alias = fmt.Sprintf("TABLE_%d", idx+1)
+	}
+	return &unnestLeg{en: en, ev: ev, st: st, item: item, alias: alias}
 }
 
 func (l *unnestLeg) Label() string {
-	alias := l.item.Alias
-	if alias == "" {
-		alias = fmt.Sprintf("TABLE_%d", l.idx+1)
-	}
-	return fmt.Sprintf("Unnest TABLE(%s) AS %s", FormatExpr(l.item.Unnest), alias)
+	return fmt.Sprintf("Unnest TABLE(%s) AS %s", FormatExpr(l.item.Unnest), l.alias)
 }
 
 func (l *unnestLeg) Children() []exec.Plan { return nil }
@@ -563,26 +582,17 @@ func (l *unnestLeg) Open() (exec.LegIter, error) {
 		}
 		elems = coll.Elems
 	}
-	alias := l.item.Alias
-	if alias == "" {
-		alias = fmt.Sprintf("TABLE_%d", l.idx+1)
-	}
 	s := l.st.getScope()
 	l.ev.scopes = append(l.ev.scopes, s)
-	return &unnestLegIter{leg: l, alias: alias, s: s, elems: elems}, nil
+	l.it = unnestLegIter{leg: l, s: s, elems: elems}
+	return &l.it, nil
 }
 
 type unnestLegIter struct {
 	leg   *unnestLeg
-	alias string
 	s     *scope
 	elems []ordb.Value
 	i     int
-	// attrTypeName/attrCols cache the attribute-name lookup — collection
-	// elements are homogeneous, so the first object element's lookup
-	// serves the whole loop.
-	attrTypeName string
-	attrCols     []string
 }
 
 func (it *unnestLegIter) Next() (bool, error) {
@@ -591,14 +601,14 @@ func (it *unnestLegIter) Next() (bool, error) {
 	}
 	elem := it.elems[it.i]
 	it.i++
-	en := it.leg.en
+	l := it.leg
 	s := it.s
-	*s = scope{alias: it.alias, whole: elem}
+	*s = scope{alias: l.alias, whole: elem}
 	// Object elements expose their attributes as columns; a REF element
 	// is dereferenced transparently for column access.
 	resolved := elem
 	if r, isRef := elem.(ordb.Ref); isRef {
-		o, err := en.db.Deref(r)
+		o, err := l.en.db.Deref(r)
 		if err != nil {
 			return false, err
 		}
@@ -607,25 +617,26 @@ func (it *unnestLegIter) Next() (bool, error) {
 		s.oid = r.OID
 	}
 	if o, isObj := resolved.(*ordb.Object); isObj {
-		if it.attrCols == nil || it.attrTypeName != o.TypeName {
-			t, err := en.db.Type(o.TypeName)
+		if l.attrCols == nil || l.attrTypeName != o.TypeName {
+			t, err := l.en.db.Type(o.TypeName)
 			if err != nil {
 				return false, err
 			}
 			attrs := t.(*ordb.ObjectType).Attrs
-			it.attrCols = make([]string, len(attrs))
+			l.attrCols = make([]string, len(attrs))
 			for i, a := range attrs {
-				it.attrCols[i] = a.Name
+				l.attrCols[i] = a.Name
 			}
-			it.attrTypeName = o.TypeName
+			l.attrTypeName = o.TypeName
 		}
-		s.cols = it.attrCols
+		s.cols = l.attrCols
 		s.vals = o.Attrs
 		s.whole = o
 	} else {
 		// Scalar elements expose Oracle's COLUMN_VALUE.
+		l.scalar[0] = resolved
 		s.cols = columnValueCols
-		s.vals = []ordb.Value{resolved}
+		s.vals = l.scalar[:]
 	}
 	return true, nil
 }
