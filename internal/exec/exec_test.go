@@ -147,10 +147,10 @@ func TestFilterProject(t *testing.T) {
 	n := &Project{
 		Child: &Filter{
 			Child: &Join{Legs: []Leg{leg}},
-			Cond:  "a % 2 = 0",
+			Cond:  text("a % 2 = 0"),
 			Pred:  func() (bool, error) { return a%2 == 0, nil },
 		},
-		Cols: "a",
+		Cols: text("a"),
 		Emit: func() (Row, error) { return Row{ordb.Num(a)}, nil },
 	}
 	rows := drain(t, n)
@@ -165,11 +165,11 @@ func TestSortStripsHiddenKeys(t *testing.T) {
 	n := &Sort{
 		Child: &Project{
 			Child: &Join{Legs: []Leg{leg}},
-			Cols:  "a",
+			Cols:  text("a"),
 			// Output column plus a hidden sort key.
 			Emit: func() (Row, error) { return Row{ordb.Str(fmt.Sprintf("v%d", a)), ordb.Num(a)}, nil },
 		},
-		By:    "a",
+		By:    text("a"),
 		Strip: 1,
 		SortFn: func(rows []Row) error {
 			sort.Slice(rows, func(i, j int) bool {
@@ -195,7 +195,7 @@ func TestGroupByFirstSeenOrder(t *testing.T) {
 	type state struct{ key, n int }
 	n := &GroupBy{
 		Child:    &Join{Legs: []Leg{leg}},
-		Keys:     "a",
+		Keys:     text("a"),
 		Key:      func() (string, error) { return fmt.Sprint(a), nil },
 		NewGroup: func() (any, error) { return &state{key: a}, nil },
 		Add:      func(st any) error { st.(*state).n++; return nil },
@@ -222,7 +222,7 @@ func TestAggregateEmitsOneRowOnEmptyInput(t *testing.T) {
 	count := 0
 	n := &Aggregate{
 		Child: &Join{Legs: []Leg{leg}},
-		Funcs: "COUNT(*)",
+		Funcs: text("COUNT(*)"),
 		Add:   func() error { count++; return nil },
 		Emit:  func() (Row, error) { return Row{ordb.Num(count)}, nil },
 	}
@@ -240,7 +240,7 @@ func TestLimitStopsPulling(t *testing.T) {
 		N: 2,
 		Child: &Project{
 			Child: &Join{Legs: []Leg{leg}},
-			Cols:  "a",
+			Cols:  text("a"),
 			Emit:  func() (Row, error) { pulled++; return Row{ordb.Num(a)}, nil },
 		},
 	}
@@ -260,10 +260,10 @@ func TestExplainLines(t *testing.T) {
 	n := &Project{
 		Child: &Filter{
 			Child: &Join{Legs: []Leg{outer, inner}},
-			Cond:  "t.K = u.K",
+			Cond:  text("t.K = u.K"),
 			Pred:  func() (bool, error) { return true, nil },
 		},
-		Cols: "t.A",
+		Cols: text("t.A"),
 		Emit: func() (Row, error) { return nil, nil },
 	}
 	got := strings.Join(ExplainLines(n), "\n")
@@ -278,3 +278,8 @@ func TestExplainLines(t *testing.T) {
 		t.Errorf("explain =\n%s\nwant\n%s", got, want)
 	}
 }
+
+// text is a fixed display text.
+type text string
+
+func (t text) String() string { return string(t) }

@@ -117,11 +117,11 @@ func (j *joinIter) Close() error {
 // Filter passes through the bindings for which Pred holds.
 type Filter struct {
 	Child Node
-	Cond  string // display text of the predicate
+	Cond  fmt.Stringer // display text of the predicate, rendered by EXPLAIN
 	Pred  func() (bool, error)
 }
 
-func (f *Filter) Label() string    { return "Filter (" + f.Cond + ")" }
+func (f *Filter) Label() string    { return "Filter (" + f.Cond.String() + ")" }
 func (f *Filter) Children() []Plan { return []Plan{f.Child} }
 
 func (f *Filter) Open() (Iter, error) {
@@ -158,11 +158,11 @@ func (it *filterIter) Close() error { return it.child.Close() }
 // Project turns the current binding into an output row.
 type Project struct {
 	Child Node
-	Cols  string // display text of the select list
+	Cols  fmt.Stringer // display text of the select list, rendered by EXPLAIN
 	Emit  func() (Row, error)
 }
 
-func (p *Project) Label() string    { return "Project (" + p.Cols + ")" }
+func (p *Project) Label() string    { return "Project (" + p.Cols.String() + ")" }
 func (p *Project) Children() []Plan { return []Plan{p.Child} }
 
 func (p *Project) Open() (Iter, error) {
@@ -194,12 +194,12 @@ func (it *projectIter) Close() error { return it.child.Close() }
 // against the live binding, row by row, exactly once.
 type Sort struct {
 	Child  Node
-	By     string // display text of the sort keys
+	By     fmt.Stringer // display text of the sort keys, rendered by EXPLAIN
 	SortFn func(rows []Row) error
 	Strip  int
 }
 
-func (s *Sort) Label() string    { return "Sort (" + s.By + ")" }
+func (s *Sort) Label() string    { return "Sort (" + s.By.String() + ")" }
 func (s *Sort) Children() []Plan { return []Plan{s.Child} }
 
 func (s *Sort) Open() (Iter, error) {
@@ -253,7 +253,7 @@ func (it *sortIter) Close() error { return it.child.Close() }
 // and emits one row per group in first-seen order.
 type GroupBy struct {
 	Child Node
-	Keys  string // display text of the group expressions
+	Keys  fmt.Stringer // display text of the group expressions, rendered by EXPLAIN
 	// Key computes the group key of the current binding.
 	Key func() (string, error)
 	// NewGroup builds fresh group state from the current binding (the
@@ -266,7 +266,7 @@ type GroupBy struct {
 	Emit func(state any) (Row, error)
 }
 
-func (g *GroupBy) Label() string    { return "GroupBy (" + g.Keys + ")" }
+func (g *GroupBy) Label() string    { return "GroupBy (" + g.Keys.String() + ")" }
 func (g *GroupBy) Children() []Plan { return []Plan{g.Child} }
 
 func (g *GroupBy) Open() (Iter, error) {
@@ -331,12 +331,12 @@ func (it *groupIter) Close() error { return it.child.Close() }
 // one row even over empty input.
 type Aggregate struct {
 	Child Node
-	Funcs string // display text of the aggregate calls
+	Funcs fmt.Stringer // display text of the aggregate calls, rendered by EXPLAIN
 	Add   func() error
 	Emit  func() (Row, error)
 }
 
-func (a *Aggregate) Label() string    { return "Aggregate (" + a.Funcs + ")" }
+func (a *Aggregate) Label() string    { return "Aggregate (" + a.Funcs.String() + ")" }
 func (a *Aggregate) Children() []Plan { return []Plan{a.Child} }
 
 func (a *Aggregate) Open() (Iter, error) {

@@ -893,3 +893,22 @@ func TestDerefErrors(t *testing.T) {
 		t.Error("Deref into missing table accepted")
 	}
 }
+
+// NavigatePath walks a whole dot-notation path with NavigateStep; a NULL
+// anywhere along it yields NULL.
+func (db *DB) NavigatePath(v Value, path []string) (Value, error) {
+	for _, step := range path {
+		if IsNull(v) {
+			return Null{}, nil
+		}
+		var slot AttrSlot
+		var err error
+		if v, err = db.NavigateStep(v, step, &slot); err != nil {
+			return nil, err
+		}
+	}
+	if v == nil {
+		return Null{}, nil
+	}
+	return v, nil
+}

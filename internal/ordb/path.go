@@ -14,33 +14,39 @@ func parseInLayout(layout, s string) (DateVal, error) {
 	return DateVal(t), nil
 }
 
-// NavigatePath walks a dot-notation attribute path through nested object
-// values — the paper's "simple database queries by using dot notation"
-// (Section 7). A NULL anywhere along the path yields NULL. REF values are
-// dereferenced transparently (Oracle requires the references to be scoped;
-// we resolve via the stored table name). Collections cannot be navigated
-// into with plain dot notation, matching Oracle: the caller must unnest
-// them (TABLE() in the sql package).
-func (db *DB) NavigatePath(v Value, path []string) (Value, error) {
-	cur := v
-	for _, step := range path {
-		if IsNull(cur) {
-			return Null{}, nil
+// AttrSlot memoises the attribute position one navigation step resolved
+// in one object type, so that a step repeated over many objects of that
+// type matches its name once. The zero value is unresolved.
+type AttrSlot struct {
+	typeName string
+	idx      int
+	ok       bool
+}
+
+// NavigateStep follows one dot-notation attribute step from the non-NULL
+// value v — the paper's "simple database queries by using dot notation"
+// (Section 7). A REF is dereferenced transparently (Oracle requires the
+// references to be scoped; we resolve via the stored table name).
+// Collections cannot be navigated into with plain dot notation, matching
+// Oracle: the caller must unnest them (TABLE() in the sql package). slot
+// memoises the attribute position per object type: the catalog is
+// consulted only when the object's type name differs from the slot's.
+func (db *DB) NavigateStep(v Value, step string, slot *AttrSlot) (Value, error) {
+	if r, ok := v.(Ref); ok {
+		o, err := db.FetchByOID(r.Table, r.OID)
+		if err != nil {
+			return nil, err
 		}
-		if r, ok := cur.(Ref); ok {
-			o, err := db.FetchByOID(r.Table, r.OID)
-			if err != nil {
-				return nil, err
-			}
-			cur = o
+		v = o
+	}
+	o, ok := v.(*Object)
+	if !ok {
+		if _, isColl := v.(*Coll); isColl {
+			return nil, fmt.Errorf("ordb: cannot navigate %q into a collection; unnest with TABLE()", step)
 		}
-		o, ok := cur.(*Object)
-		if !ok {
-			if _, isColl := cur.(*Coll); isColl {
-				return nil, fmt.Errorf("ordb: cannot navigate %q into a collection; unnest with TABLE()", step)
-			}
-			return nil, fmt.Errorf("ordb: cannot navigate %q into scalar %T", step, cur)
-		}
+		return nil, fmt.Errorf("ordb: cannot navigate %q into scalar %T", step, v)
+	}
+	if !slot.ok || slot.typeName != o.TypeName {
 		t, err := db.Type(o.TypeName)
 		if err != nil {
 			return nil, err
@@ -50,12 +56,9 @@ func (db *DB) NavigatePath(v Value, path []string) (Value, error) {
 		if idx < 0 {
 			return nil, fmt.Errorf("ordb: type %s has no attribute %q", ot.Name, step)
 		}
-		cur = o.Attrs[idx]
+		*slot = AttrSlot{typeName: o.TypeName, idx: idx, ok: true}
 	}
-	if cur == nil {
-		return Null{}, nil
-	}
-	return cur, nil
+	return o.Attrs[slot.idx], nil
 }
 
 // ParsePath splits a dot-notation path string into steps.

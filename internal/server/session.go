@@ -149,7 +149,7 @@ func (ss *session) serve() {
 func (ss *session) handle(line []byte) (*wire.Response, bool) {
 	req, err := wire.DecodeRequest(line)
 	if err != nil {
-		ss.srv.metrics.observe("(malformed)", 0, false)
+		ss.srv.metrics.observe(malformedVerb, 0, false)
 		return &wire.Response{OK: false, Code: wire.CodeBadRequest, Error: err.Error()}, true
 	}
 	verb := strings.ToUpper(req.Verb)

@@ -2,7 +2,6 @@ package server
 
 import (
 	"sort"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -10,9 +9,10 @@ import (
 )
 
 // metrics aggregates server observability: session gauges, per-verb
-// request counters and latency sums, and defensive-limit counters. All
-// hot-path updates are atomic; the verb map is guarded by a mutex taken
-// once per distinct verb name.
+// request counters and latency sums, and defensive-limit counters. Every
+// update is atomic and takes no lock: the per-verb counters sit in a
+// fixed array with one row per served verb plus the shared UNKNOWN and
+// (malformed) rows.
 type metrics struct {
 	sessionsOpen  atomic.Int64
 	sessionsTotal atomic.Int64
@@ -20,13 +20,34 @@ type metrics struct {
 	timeouts      atomic.Int64
 	oversized     atomic.Int64
 
-	mu    sync.Mutex
-	verbs map[string]*verbCounters
+	verbs []verbCounters // indexed like statRows
 }
 
-// unknownVerb is the STATS row that counts every request whose verb the
-// server does not serve.
-const unknownVerb = "UNKNOWN"
+const (
+	// unknownVerb is the STATS row that counts every request whose verb
+	// the server does not serve.
+	unknownVerb = "UNKNOWN"
+	// malformedVerb is the STATS row that counts requests that do not
+	// decode.
+	malformedVerb = "(malformed)"
+)
+
+// statRows names the STATS rows in the order STATS lists them, and
+// statIndex maps each name to its position.
+var statRows, statIndex = newStatRows()
+
+func newStatRows() ([]string, map[string]int) {
+	rows := []string{unknownVerb, malformedVerb}
+	for v := range knownVerbs {
+		rows = append(rows, v)
+	}
+	sort.Strings(rows)
+	index := make(map[string]int, len(rows))
+	for i, v := range rows {
+		index[v] = i
+	}
+	return rows, index
+}
 
 type verbCounters struct {
 	count  atomic.Int64
@@ -35,18 +56,17 @@ type verbCounters struct {
 }
 
 func newMetrics() *metrics {
-	return &metrics{verbs: map[string]*verbCounters{}}
+	return &metrics{verbs: make([]verbCounters, len(statRows))}
 }
 
-// observe records one completed request for verb.
+// observe records one completed request for verb, a served verb or one
+// of the shared rows.
 func (m *metrics) observe(verb string, d time.Duration, ok bool) {
-	m.mu.Lock()
-	vc := m.verbs[verb]
-	if vc == nil {
-		vc = &verbCounters{}
-		m.verbs[verb] = vc
+	i, known := statIndex[verb]
+	if !known {
+		i = statIndex[unknownVerb]
 	}
-	m.mu.Unlock()
+	vc := &m.verbs[i]
 	vc.count.Add(1)
 	vc.nanos.Add(int64(d))
 	if !ok {
@@ -54,25 +74,19 @@ func (m *metrics) observe(verb string, d time.Duration, ok bool) {
 	}
 }
 
-// verbStats renders the per-verb counters sorted by verb name.
+// verbStats renders the counters of every verb seen so far, sorted by
+// verb name.
 func (m *metrics) verbStats() []wire.VerbStat {
-	m.mu.Lock()
-	names := make([]string, 0, len(m.verbs))
-	for v := range m.verbs {
-		names = append(names, v)
-	}
-	counters := make(map[string]*verbCounters, len(m.verbs))
-	for v, c := range m.verbs {
-		counters[v] = c
-	}
-	m.mu.Unlock()
-	sort.Strings(names)
-	out := make([]wire.VerbStat, 0, len(names))
-	for _, v := range names {
-		c := counters[v]
+	var out []wire.VerbStat
+	for i, v := range statRows {
+		c := &m.verbs[i]
+		n := c.count.Load()
+		if n == 0 {
+			continue
+		}
 		out = append(out, wire.VerbStat{
 			Verb:       v,
-			Count:      c.count.Load(),
+			Count:      n,
 			Errors:     c.errors.Load(),
 			TotalNanos: c.nanos.Load(),
 		})

@@ -9,9 +9,10 @@ import (
 // Statement and plan caching. Parsing is schema-independent, so parsed
 // statements live in one process-wide LRU keyed on SQL text and are
 // shared by every engine (ASTs are immutable once built — the executor
-// never mutates them). Join plans depend on the catalog, so each Engine
-// keeps its own plan table keyed on the AST pointer; any DDL statement
-// evicts all plans, which is what keeps a cached plan from referencing a
+// never mutates them). A plan is the statement bound (bind.go) with its
+// join choices; join choices depend on the catalog, so each Engine keeps
+// its own plan table keyed on the AST pointer; any DDL statement evicts
+// all plans, which is what keeps a cached plan from referencing a
 // dropped table or column.
 
 // parseCacheSize bounds the process-wide statement cache.
@@ -105,7 +106,7 @@ func (en *Engine) CacheStats() CacheStats {
 	}
 }
 
-// planCache is the join-plan cache, keyed on the (cache-stable) AST
+// planCache is the bound-plan cache, keyed on the (cache-stable) AST
 // pointer. The hot path — one lookup per executed SELECT — is a single
 // atomic pointer load with no lock: the table behind the pointer is
 // immutable, and writers (plan misses, DDL invalidation) install a
@@ -113,7 +114,7 @@ func (en *Engine) CacheStats() CacheStats {
 // the copy-on-insert write cost buys an uncontended read path for the
 // MVCC reader engines that all share this cache.
 type planCache struct {
-	table atomic.Pointer[map[*SelectStmt]*queryPlan]
+	table atomic.Pointer[map[*SelectStmt]*boundSelect]
 	// mu serializes writers only; readers never take it.
 	mu     sync.Mutex
 	hits   atomic.Int64
@@ -122,23 +123,23 @@ type planCache struct {
 
 func newPlanCache() *planCache {
 	c := &planCache{}
-	empty := map[*SelectStmt]*queryPlan{}
+	empty := map[*SelectStmt]*boundSelect{}
 	c.table.Store(&empty)
 	return c
 }
 
-// planFor returns the cached join plan for sel, computing and caching it
+// planFor returns the cached bound plan for sel, binding and caching it
 // on first use. Keying on the AST pointer works because CachedParse
 // returns a stable pointer per SQL text and plans are evicted wholesale
 // on DDL.
-func (en *Engine) planFor(sel *SelectStmt) *queryPlan {
+func (en *Engine) planFor(sel *SelectStmt) *boundSelect {
 	c := en.plans
 	if p := (*c.table.Load())[sel]; p != nil {
 		c.hits.Add(1)
 		return p
 	}
 	c.misses.Add(1)
-	p := en.planJoins(sel)
+	p := en.bindSelect(sel, nil)
 	c.mu.Lock()
 	old := *c.table.Load()
 	if len(old) > 4096 {
@@ -146,7 +147,7 @@ func (en *Engine) planFor(sel *SelectStmt) *queryPlan {
 		// again; the occasional wholesale reset bounds that garbage.
 		old = nil
 	}
-	next := make(map[*SelectStmt]*queryPlan, len(old)+1)
+	next := make(map[*SelectStmt]*boundSelect, len(old)+1)
 	for k, v := range old {
 		next[k] = v
 	}
@@ -161,7 +162,7 @@ func (en *Engine) planFor(sel *SelectStmt) *queryPlan {
 func (en *Engine) invalidatePlans() {
 	c := en.plans
 	c.mu.Lock()
-	empty := map[*SelectStmt]*queryPlan{}
+	empty := map[*SelectStmt]*boundSelect{}
 	c.table.Store(&empty)
 	c.mu.Unlock()
 }

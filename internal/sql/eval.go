@@ -7,8 +7,8 @@ import (
 	"xmlordb/internal/ordb"
 )
 
-// scope is one row binding visible to expression evaluation: an alias and
-// the current row of a FROM item.
+// scope is one row binding visible to expression evaluation: the current
+// row of a FROM leg.
 type scope struct {
 	alias string
 	// cols/vals hold the named columns of a table or view row.
@@ -28,36 +28,6 @@ type scope struct {
 	rowView ordb.RowView
 }
 
-// env is the evaluation environment: a chain of scopes, innermost last.
-// Correlated subqueries extend the chain.
-type env struct {
-	scopes []*scope
-	parent *env
-}
-
-func (e *env) lookupAlias(name string) *scope {
-	for cur := e; cur != nil; cur = cur.parent {
-		for i := len(cur.scopes) - 1; i >= 0; i-- {
-			if strings.EqualFold(cur.scopes[i].alias, name) {
-				return cur.scopes[i]
-			}
-		}
-	}
-	return nil
-}
-
-// lookupColumn finds an unqualified column across all scopes.
-func (e *env) lookupColumn(name string) (ordb.Value, bool) {
-	for cur := e; cur != nil; cur = cur.parent {
-		for i := len(cur.scopes) - 1; i >= 0; i-- {
-			if v, ok := cur.scopes[i].colValue(name); ok {
-				return v, true
-			}
-		}
-	}
-	return nil, false
-}
-
 // value returns the row as a single value, or nil for a plain
 // relational row. An object-table row is boxed into a fresh object on
 // every call, so no two result values share one.
@@ -68,163 +38,140 @@ func (s *scope) value() ordb.Value {
 	return s.whole
 }
 
-// colValue resolves a column of a single scope.
-func (s *scope) colValue(name string) (ordb.Value, bool) {
-	for j, c := range s.cols {
-		if strings.EqualFold(c, name) {
-			return s.vals[j], true
-		}
+// The evaluator: each bound node evaluates itself against the execution
+// state. SQL three-valued logic is represented with ordb.Null{} for
+// UNKNOWN and ordb.Num(0/1) for booleans.
+
+func (l *Lit) eval(*execState) (ordb.Value, error) {
+	if l.Val == nil { // a malformed DATE literal: report why
+		return ParseDateLiteral(l.Str)
 	}
-	if s.rowView != nil {
-		return s.rowView.Col(name)
-	}
-	return nil, false
+	return l.Val, nil
 }
 
-// eval evaluates an expression to a value. SQL three-valued logic is
-// represented with ordb.Null{} for UNKNOWN and ordb.Num(0/1) for booleans.
-func (en *Engine) eval(e Expr, ev *env) (ordb.Value, error) {
-	switch x := e.(type) {
-	case *Lit:
-		if x.Val == nil { // a malformed DATE literal: report why
-			return ParseDateLiteral(x.Str)
-		}
-		return x.Val, nil
-	case *Path:
-		return en.evalPath(x, ev)
-	case *Call:
-		return en.evalCall(x, ev)
-	case *CastMultiset:
-		return en.evalCastMultiset(x, ev)
-	case *Binary:
-		return en.evalBinary(x, ev)
-	case *Unary:
-		v, err := en.eval(x.E, ev)
-		if err != nil {
-			return nil, err
-		}
-		switch x.Op {
-		case "NOT":
-			if ordb.IsNull(v) {
-				return ordb.Null{}, nil
-			}
-			return boolVal(!truthy(v)), nil
-		case "-":
-			n, ok := v.(ordb.Num)
-			if !ok {
-				if ordb.IsNull(v) {
-					return ordb.Null{}, nil
-				}
-				return nil, fmt.Errorf("sql: unary minus on %T", v)
-			}
-			return -n, nil
-		default:
-			return nil, fmt.Errorf("sql: unknown unary op %q", x.Op)
-		}
-	case *IsNull:
-		v, err := en.eval(x.E, ev)
-		if err != nil {
-			return nil, err
-		}
-		isNull := ordb.IsNull(v)
-		if x.Not {
-			return boolVal(!isNull), nil
-		}
-		return boolVal(isNull), nil
-	case *Exists:
-		rows, err := en.querySelect(x.Sub, ev)
-		if err != nil {
-			return nil, err
-		}
-		return boolVal(len(rows.Data) > 0), nil
-	default:
-		return nil, fmt.Errorf("sql: unknown expression %T", e)
-	}
+// errNode is a name or construct that did not bind; evaluating it
+// reports why, so a query that never evaluates it still succeeds.
+type errNode struct{ err error }
+
+func (n errNode) eval(*execState) (ordb.Value, error) { return nil, n.err }
+
+// aliasNode is a bare alias: the whole row value (for TABLE() elements
+// and object tables).
+type aliasNode struct {
+	at   legRef
+	name string
 }
 
-func (en *Engine) evalPath(p *Path, ev *env) (ordb.Value, error) {
-	head := p.Parts[0]
-	if s := ev.lookupAlias(head); s != nil {
-		if len(p.Parts) == 1 {
-			// Bare alias: the whole row value (for TABLE() elements and
-			// object tables) or an error for plain relational rows.
-			if v := s.value(); v != nil {
-				return v, nil
-			}
-			return nil, fmt.Errorf("sql: alias %q does not denote a single value", head)
-		}
-		// First step after the alias is a column lookup, the rest is
-		// attribute navigation.
-		base, ok := s.colValue(p.Parts[1])
-		if !ok {
-			// TABLE() scalar elements have no columns; allow navigation
-			// into the whole value instead.
-			if v := s.value(); v != nil {
-				return en.db.NavigatePath(v, p.Parts[1:])
-			}
-			return nil, fmt.Errorf("sql: %s has no column %q", head, p.Parts[1])
-		}
-		return en.db.NavigatePath(base, p.Parts[2:])
-	}
-	// Unqualified: first part is a column.
-	base, ok := ev.lookupColumn(head)
-	if !ok {
-		return nil, fmt.Errorf("sql: unknown column or alias %q", head)
-	}
-	return en.db.NavigatePath(base, p.Parts[1:])
-}
-
-func (en *Engine) evalCall(c *Call, ev *env) (ordb.Value, error) {
-	switch strings.ToUpper(c.Name) {
-	case "COUNT", "MIN", "MAX", "SUM", "AVG":
-		return nil, fmt.Errorf("sql: aggregate %s is only allowed in the select list", strings.ToUpper(c.Name))
-	case "REF":
-		s, err := aliasArg(c, ev)
-		if err != nil {
-			return nil, err
-		}
-		if s.oid == 0 {
-			return nil, fmt.Errorf("sql: REF(%s): not an object table row", s.alias)
-		}
-		return ordb.Ref{Table: s.table, OID: s.oid}, nil
-	case "VALUE":
-		s, err := aliasArg(c, ev)
-		if err != nil {
-			return nil, err
-		}
-		v := s.value()
-		if v == nil {
-			return nil, fmt.Errorf("sql: VALUE(%s): not an object table row", s.alias)
-		}
+func (n *aliasNode) eval(st *execState) (ordb.Value, error) {
+	if v := st.scope(n.at).value(); v != nil {
 		return v, nil
-	case "DEREF":
-		if len(c.Args) != 1 {
-			return nil, fmt.Errorf("sql: DEREF takes one argument")
-		}
-		v, err := en.eval(c.Args[0], ev)
-		if err != nil {
-			return nil, err
-		}
-		if ordb.IsNull(v) {
-			return ordb.Null{}, nil
-		}
-		o, err := en.db.Deref(v)
-		if err != nil {
-			return nil, err
-		}
-		if o == nil {
-			return ordb.Null{}, nil
-		}
-		return o, nil
 	}
-	// Constructor: the name must resolve to a user-defined type.
-	t, err := en.db.Type(c.Name)
+	return nil, fmt.Errorf("sql: alias %q does not denote a single value", n.name)
+}
+
+// columnNode is alias.column[.attr...]. steps navigates from the column
+// name on: steps[1:] from the column's value, all of them from the whole
+// value of a scalar TABLE() element, which has no columns.
+type columnNode struct {
+	at        legRef
+	head, col string
+	slot      int
+	steps     []navStep
+}
+
+func (n *columnNode) eval(st *execState) (ordb.Value, error) {
+	s := st.scope(n.at)
+	base, ok := st.column(s, n.slot, n.col)
+	if !ok {
+		if v := s.value(); v != nil {
+			return st.navigate(v, n.steps)
+		}
+		return nil, fmt.Errorf("sql: %s has no column %q", n.head, n.col)
+	}
+	if len(n.steps) == 1 && base != nil {
+		return base, nil // no attribute steps
+	}
+	return st.navigate(base, n.steps[1:])
+}
+
+// unqualNode is a column named without an alias, looked up in every
+// visible leg innermost first, followed by attribute steps.
+type unqualNode struct {
+	name  string
+	cands []colCand
+	steps []navStep
+}
+
+// colCand is one leg that may hold an unqualified column, with the memo
+// slot of the column's position there.
+type colCand struct {
+	at   legRef
+	slot int
+}
+
+func (n *unqualNode) eval(st *execState) (ordb.Value, error) {
+	for _, c := range n.cands {
+		if base, ok := st.column(st.scope(c.at), c.slot, n.name); ok {
+			return st.navigate(base, n.steps)
+		}
+	}
+	return nil, fmt.Errorf("sql: unknown column or alias %q", n.name)
+}
+
+// rowCallNode is REF(alias) or VALUE(alias).
+type rowCallNode struct {
+	value bool
+	at    legRef
+}
+
+func (n *rowCallNode) eval(st *execState) (ordb.Value, error) {
+	s := st.scope(n.at)
+	if n.value {
+		if v := s.value(); v != nil {
+			return v, nil
+		}
+		return nil, fmt.Errorf("sql: VALUE(%s): not an object table row", s.alias)
+	}
+	if s.oid == 0 {
+		return nil, fmt.Errorf("sql: REF(%s): not an object table row", s.alias)
+	}
+	return ordb.Ref{Table: s.table, OID: s.oid}, nil
+}
+
+type derefNode struct{ arg bexpr }
+
+func (n *derefNode) eval(st *execState) (ordb.Value, error) {
+	v, err := n.arg.eval(st)
 	if err != nil {
-		return nil, fmt.Errorf("sql: unknown function or type %q", c.Name)
+		return nil, err
 	}
-	args := make([]ordb.Value, len(c.Args))
-	for i, a := range c.Args {
-		v, err := en.eval(a, ev)
+	if ordb.IsNull(v) {
+		return ordb.Null{}, nil
+	}
+	o, err := st.en.db.Deref(v)
+	if err != nil {
+		return nil, err
+	}
+	if o == nil {
+		return ordb.Null{}, nil
+	}
+	return o, nil
+}
+
+// ctorNode is a call whose name must resolve to a user-defined type.
+type ctorNode struct {
+	name string
+	args []bexpr
+}
+
+func (n *ctorNode) eval(st *execState) (ordb.Value, error) {
+	t, err := st.en.db.Type(n.name)
+	if err != nil {
+		return nil, fmt.Errorf("sql: unknown function or type %q", n.name)
+	}
+	args := make([]ordb.Value, len(n.args))
+	for i, a := range n.args {
+		v, err := a.eval(st)
 		if err != nil {
 			return nil, err
 		}
@@ -242,58 +189,110 @@ func (en *Engine) evalCall(c *Call, ev *env) (ordb.Value, error) {
 	case *ordb.NestedTableType:
 		return &ordb.Coll{TypeName: ty.Name, Elems: args}, nil
 	default:
-		return nil, fmt.Errorf("sql: type %s has no constructor", c.Name)
+		return nil, fmt.Errorf("sql: type %s has no constructor", n.name)
 	}
 }
 
-func aliasArg(c *Call, ev *env) (*scope, error) {
-	if len(c.Args) != 1 {
-		return nil, fmt.Errorf("sql: %s takes one alias argument", c.Name)
-	}
-	p, ok := c.Args[0].(*Path)
-	if !ok || len(p.Parts) != 1 {
-		return nil, fmt.Errorf("sql: %s argument must be a table alias", c.Name)
-	}
-	s := ev.lookupAlias(p.Parts[0])
-	if s == nil {
-		return nil, fmt.Errorf("sql: unknown alias %q", p.Parts[0])
-	}
-	return s, nil
+// castNode is CAST(MULTISET(subquery) AS typename).
+type castNode struct {
+	typeName string
+	sub      *boundSelect
 }
 
-func (en *Engine) evalCastMultiset(cm *CastMultiset, ev *env) (ordb.Value, error) {
-	t, err := en.db.Type(cm.TypeName)
+func (n *castNode) eval(st *execState) (ordb.Value, error) {
+	t, err := st.en.db.Type(n.typeName)
 	if err != nil {
 		return nil, err
 	}
 	if !ordb.IsCollection(t) {
-		return nil, fmt.Errorf("sql: CAST AS %s: not a collection type", cm.TypeName)
+		return nil, fmt.Errorf("sql: CAST AS %s: not a collection type", n.typeName)
 	}
-	rows, err := en.querySelect(cm.Sub, ev)
+	rows, err := st.en.run(n.sub.sel, n.sub, st)
 	if err != nil {
 		return nil, err
 	}
 	elems := make([]ordb.Value, 0, len(rows.Data))
 	for _, r := range rows.Data {
-		switch len(r) {
-		case 1:
-			elems = append(elems, r[0])
-		default:
+		if len(r) != 1 {
 			return nil, fmt.Errorf("sql: MULTISET subquery must select exactly one expression")
 		}
+		elems = append(elems, r[0])
 	}
 	return &ordb.Coll{TypeName: ordb.NamedType(t), Elems: elems}, nil
 }
 
-func (en *Engine) evalBinary(b *Binary, ev *env) (ordb.Value, error) {
-	switch b.Op {
+type existsNode struct{ sub *boundSelect }
+
+func (n *existsNode) eval(st *execState) (ordb.Value, error) {
+	rows, err := st.en.run(n.sub.sel, n.sub, st)
+	if err != nil {
+		return nil, err
+	}
+	return boolVal(len(rows.Data) > 0), nil
+}
+
+type unaryNode struct {
+	op string
+	e  bexpr
+}
+
+func (n *unaryNode) eval(st *execState) (ordb.Value, error) {
+	v, err := n.e.eval(st)
+	if err != nil {
+		return nil, err
+	}
+	switch n.op {
+	case "NOT":
+		if ordb.IsNull(v) {
+			return ordb.Null{}, nil
+		}
+		return boolVal(!truthy(v)), nil
+	case "-":
+		num, ok := v.(ordb.Num)
+		if !ok {
+			if ordb.IsNull(v) {
+				return ordb.Null{}, nil
+			}
+			return nil, fmt.Errorf("sql: unary minus on %T", v)
+		}
+		return -num, nil
+	default:
+		return nil, fmt.Errorf("sql: unknown unary op %q", n.op)
+	}
+}
+
+type isNullNode struct {
+	e   bexpr
+	not bool
+}
+
+func (n *isNullNode) eval(st *execState) (ordb.Value, error) {
+	v, err := n.e.eval(st)
+	if err != nil {
+		return nil, err
+	}
+	return boolVal(ordb.IsNull(v) != n.not), nil
+}
+
+// binaryNode is a binary operation. A string literal operand carries its
+// blank-trimmed text (lTrim/rTrim, marked by lLit/rLit), trimmed once
+// when the plan was bound.
+type binaryNode struct {
+	op           string
+	l, r         bexpr
+	lTrim, rTrim string
+	lLit, rLit   bool
+}
+
+func (n *binaryNode) eval(st *execState) (ordb.Value, error) {
+	switch n.op {
 	case "AND", "OR":
-		l, err := en.eval(b.L, ev)
+		l, err := n.l.eval(st)
 		if err != nil {
 			return nil, err
 		}
 		// Short-circuit with three-valued logic.
-		if b.Op == "AND" {
+		if n.op == "AND" {
 			if !ordb.IsNull(l) && !truthy(l) {
 				return boolVal(false), nil
 			}
@@ -302,7 +301,7 @@ func (en *Engine) evalBinary(b *Binary, ev *env) (ordb.Value, error) {
 				return boolVal(true), nil
 			}
 		}
-		r, err := en.eval(b.R, ev)
+		r, err := n.r.eval(st)
 		if err != nil {
 			return nil, err
 		}
@@ -310,28 +309,28 @@ func (en *Engine) evalBinary(b *Binary, ev *env) (ordb.Value, error) {
 			// The definite branch was handled above; anything involving
 			// NULL now is UNKNOWN except OR with true / AND with false
 			// on the right.
-			if b.Op == "OR" && !ordb.IsNull(r) && truthy(r) {
+			if n.op == "OR" && !ordb.IsNull(r) && truthy(r) {
 				return boolVal(true), nil
 			}
-			if b.Op == "AND" && !ordb.IsNull(r) && !truthy(r) {
+			if n.op == "AND" && !ordb.IsNull(r) && !truthy(r) {
 				return boolVal(false), nil
 			}
 			return ordb.Null{}, nil
 		}
-		if b.Op == "AND" {
+		if n.op == "AND" {
 			return boolVal(truthy(l) && truthy(r)), nil
 		}
 		return boolVal(truthy(l) || truthy(r)), nil
 	}
-	l, err := en.eval(b.L, ev)
+	l, err := n.l.eval(st)
 	if err != nil {
 		return nil, err
 	}
-	r, err := en.eval(b.R, ev)
+	r, err := n.r.eval(st)
 	if err != nil {
 		return nil, err
 	}
-	if b.Op == "||" {
+	if n.op == "||" {
 		if ordb.IsNull(l) && ordb.IsNull(r) {
 			return ordb.Null{}, nil
 		}
@@ -340,7 +339,7 @@ func (en *Engine) evalBinary(b *Binary, ev *env) (ordb.Value, error) {
 	if ordb.IsNull(l) || ordb.IsNull(r) {
 		return ordb.Null{}, nil // comparisons with NULL are UNKNOWN
 	}
-	if b.Op == "LIKE" {
+	if n.op == "LIKE" {
 		ls, lok := l.(ordb.Str)
 		rs, rok := r.(ordb.Str)
 		if !lok || !rok {
@@ -348,11 +347,11 @@ func (en *Engine) evalBinary(b *Binary, ev *env) (ordb.Value, error) {
 		}
 		return boolVal(likeMatch(string(ls), string(rs))), nil
 	}
-	cmp, err := compareTrimmed(l, r)
+	cmp, err := n.compare(l, r)
 	if err != nil {
 		return nil, err
 	}
-	switch b.Op {
+	switch n.op {
 	case "=":
 		return boolVal(cmp == 0), nil
 	case "!=":
@@ -366,22 +365,38 @@ func (en *Engine) evalBinary(b *Binary, ev *env) (ordb.Value, error) {
 	case ">=":
 		return boolVal(cmp >= 0), nil
 	default:
-		return nil, fmt.Errorf("sql: unknown operator %q", b.Op)
+		return nil, fmt.Errorf("sql: unknown operator %q", n.op)
 	}
 }
 
-// compareTrimmed compares two non-NULL operands. Strings compare with
-// CHAR blank padding trimmed (Oracle compares CHAR with non-padded
-// semantics against VARCHAR), as plain strings, so a comparison boxes
-// nothing; any other pair goes to ordb.Compare, where a string against a
-// non-string is an error.
-func compareTrimmed(l, r ordb.Value) (int, error) {
+// compare compares two non-NULL operands. Strings compare with CHAR
+// blank padding trimmed (Oracle compares CHAR with non-padded semantics
+// against VARCHAR), as plain strings, so a comparison boxes nothing; any
+// other pair goes to ordb.Compare, where a string against a non-string
+// is an error.
+func (n *binaryNode) compare(l, r ordb.Value) (int, error) {
 	ls, lok := l.(ordb.Str)
 	rs, rok := r.(ordb.Str)
-	if lok && rok {
-		return strings.Compare(strings.TrimRight(string(ls), " "), strings.TrimRight(string(rs), " ")), nil
+	if !lok || !rok {
+		return ordb.Compare(l, r)
 	}
-	return ordb.Compare(l, r)
+	lt, rt := n.lTrim, n.rTrim
+	if !n.lLit {
+		lt = strings.TrimRight(string(ls), " ")
+	}
+	if !n.rLit {
+		rt = strings.TrimRight(string(rs), " ")
+	}
+	return strings.Compare(lt, rt), nil
+}
+
+// truth evaluates a condition: only definite TRUE passes.
+func truth(e bexpr, st *execState) (bool, error) {
+	v, err := e.eval(st)
+	if err != nil {
+		return false, err
+	}
+	return !ordb.IsNull(v) && truthy(v), nil
 }
 
 func asString(v ordb.Value) string {

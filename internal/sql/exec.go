@@ -11,7 +11,7 @@ import (
 type Engine struct {
 	db *ordb.DB
 
-	// plans is the join-plan cache, shared between an engine and every
+	// plans is the bound-plan cache, shared between an engine and every
 	// reader engine derived from it. See cache.go.
 	plans *planCache
 }
@@ -22,9 +22,9 @@ func NewEngine(db *ordb.DB) *Engine { return &Engine{db: db, plans: newPlanCache
 // Reader returns an engine bound to the database's most recently
 // published frozen version (see ordb version.go): its queries run
 // lock-free against that consistent snapshot, its mutations fail with
-// ErrFrozen. The plan cache is shared with the live engine — plans hold
-// only column names and expressions, never table pointers, so they are
-// valid against any version.
+// ErrFrozen. The plan cache is shared with the live engine — plans bind
+// names to leg positions and hold column names, never table pointers, so
+// they are valid against any version.
 func (en *Engine) Reader() *Engine {
 	return &Engine{db: en.db.Reader(), plans: en.plans}
 }
@@ -41,7 +41,8 @@ type Result struct {
 	LastOID ordb.OID
 }
 
-// Rows is a materialized query result.
+// Rows is a materialized query result. Cols may be shared by every
+// result of one statement and must not be modified.
 type Rows struct {
 	Cols []string
 	Data [][]ordb.Value
@@ -105,7 +106,7 @@ func (en *Engine) Query(src string) (*Rows, error) {
 	}
 	switch s := stmt.(type) {
 	case *SelectStmt:
-		return en.querySelect(s, nil)
+		return en.querySelect(s)
 	case *ExplainStmt:
 		return en.explainSelect(s.Sel)
 	}
@@ -127,7 +128,7 @@ func (en *Engine) ExecScript(script string) (int, error) {
 		}
 		switch q := stmt.(type) {
 		case *SelectStmt:
-			if _, err := en.querySelect(q, nil); err != nil {
+			if _, err := en.querySelect(q); err != nil {
 				return i, fmt.Errorf("statement %d: %w", i+1, err)
 			}
 			continue
@@ -348,7 +349,7 @@ func (en *Engine) execCreateTable(s *CreateTableStmt) (*Result, error) {
 		spec.Columns = cols
 	}
 	for _, chk := range s.Checks {
-		spec.Checks = append(spec.Checks, &checkAdapter{engine: en, expr: chk})
+		spec.Checks = append(spec.Checks, en.newCheck(chk))
 	}
 	_, err := en.db.CreateTable(spec)
 	return &Result{}, err
@@ -370,15 +371,25 @@ func applyConstraint(col *ordb.Column, con ColConstraint) {
 // constraint interface. Per SQL, a CHECK passes unless it evaluates to
 // definite FALSE — which still reproduces the paper's Section 4.3
 // observation, because x.y IS NOT NULL is definitely false when x is NULL.
+// The expression is bound once, against one unaliased leg whose columns
+// the candidate row's RowView resolves.
 type checkAdapter struct {
 	engine *Engine
 	expr   Expr
+	bound  bexpr
+	nslots int
+}
+
+func (en *Engine) newCheck(chk Expr) *checkAdapter {
+	bound, nslots := en.bindRow([]string{""}, chk)
+	return &checkAdapter{engine: en, expr: chk, bound: bound[0], nslots: nslots}
 }
 
 // Eval implements ordb.CheckExpr.
 func (c *checkAdapter) Eval(row ordb.RowView) (bool, error) {
-	ev := &env{scopes: []*scope{rowViewScope(row)}}
-	v, err := c.engine.eval(c.expr, ev)
+	st := c.engine.newExecState(nil, 1, c.nslots)
+	st.scopes[0].rowView = row
+	v, err := c.bound.eval(st)
 	if err != nil {
 		return false, err
 	}
@@ -391,12 +402,6 @@ func (c *checkAdapter) Eval(row ordb.RowView) (bool, error) {
 // String implements ordb.CheckExpr.
 func (c *checkAdapter) String() string { return FormatExpr(c.expr) }
 
-// rowViewScope exposes a RowView's columns to the evaluator. Column names
-// are resolved lazily through the view.
-func rowViewScope(row ordb.RowView) *scope {
-	return &scope{alias: "", cols: nil, vals: nil, whole: nil, rowView: row}
-}
-
 func (en *Engine) execInsert(s *InsertStmt) (*Result, error) {
 	tbl, err := en.db.Table(s.Table)
 	if err != nil {
@@ -406,6 +411,9 @@ func (en *Engine) execInsert(s *InsertStmt) (*Result, error) {
 	for i := range vals {
 		vals[i] = ordb.Null{}
 	}
+	// VALUES expressions see no row.
+	bound, nslots := en.bindRow(nil, s.Values...)
+	st := en.newExecState(nil, 0, nslots)
 	if len(s.Cols) > 0 {
 		if len(s.Cols) != len(s.Values) {
 			return nil, fmt.Errorf("sql: INSERT column/value count mismatch")
@@ -415,7 +423,7 @@ func (en *Engine) execInsert(s *InsertStmt) (*Result, error) {
 			if idx < 0 {
 				return nil, fmt.Errorf("sql: table %s has no column %q", s.Table, cname)
 			}
-			v, err := en.eval(s.Values[i], nil)
+			v, err := bound[i].eval(st)
 			if err != nil {
 				return nil, err
 			}
@@ -426,8 +434,8 @@ func (en *Engine) execInsert(s *InsertStmt) (*Result, error) {
 			return nil, fmt.Errorf("sql: INSERT supplies %d values for %d columns",
 				len(s.Values), len(tbl.Cols))
 		}
-		for i, e := range s.Values {
-			v, err := en.eval(e, nil)
+		for i, e := range bound {
+			v, err := e.eval(st)
 			if err != nil {
 				return nil, err
 			}
@@ -448,13 +456,11 @@ func (en *Engine) execDelete(s *DeleteStmt) (*Result, error) {
 	}
 	var pred func(*ordb.Row) (bool, error)
 	if s.Where != nil {
+		where, nslots := en.bindRow([]string{tbl.Name}, s.Where)
+		st := en.newExecState(nil, 1, nslots)
 		pred = func(r *ordb.Row) (bool, error) {
-			ev := &env{scopes: []*scope{en.tableScope(tbl, "", r)}}
-			v, err := en.eval(s.Where, ev)
-			if err != nil {
-				return false, err
-			}
-			return !ordb.IsNull(v) && truthy(v), nil
+			fillTableScope(&st.scopes[0], tbl, "", r)
+			return truth(where[0], st)
 		}
 	}
 	n, err := tbl.Delete(pred)
@@ -478,23 +484,26 @@ func (en *Engine) execUpdate(s *UpdateStmt) (*Result, error) {
 		}
 		idxs[i] = idx
 	}
+	// The WHERE and SET expressions see the row being updated.
+	exprs := []Expr{s.Where}
+	for _, set := range s.Sets {
+		exprs = append(exprs, set.Expr)
+	}
+	bound, nslots := en.bindRow([]string{tbl.Name}, exprs...)
+	st := en.newExecState(nil, 1, nslots)
 	pred := func(r *ordb.Row) (bool, error) {
 		if s.Where == nil {
 			return true, nil
 		}
-		ev := &env{scopes: []*scope{en.tableScope(tbl, "", r)}}
-		v, err := en.eval(s.Where, ev)
-		if err != nil {
-			return false, err
-		}
-		return !ordb.IsNull(v) && truthy(v), nil
+		fillTableScope(&st.scopes[0], tbl, "", r)
+		return truth(bound[0], st)
 	}
 	transform := func(vals []ordb.Value) ([]ordb.Value, error) {
 		out := make([]ordb.Value, len(vals))
 		copy(out, vals)
-		ev := &env{scopes: []*scope{en.tableScope(tbl, "", &ordb.Row{Vals: vals})}}
-		for i, set := range s.Sets {
-			v, err := en.eval(set.Expr, ev)
+		fillTableScope(&st.scopes[0], tbl, "", &ordb.Row{Vals: vals})
+		for i, e := range bound[1:] {
+			v, err := e.eval(st)
 			if err != nil {
 				return nil, err
 			}
@@ -507,13 +516,6 @@ func (en *Engine) execUpdate(s *UpdateStmt) (*Result, error) {
 		return nil, err
 	}
 	return &Result{RowsAffected: n}, nil
-}
-
-// tableScope builds the evaluation scope for one row of a base table.
-func (en *Engine) tableScope(t *ordb.Table, alias string, r *ordb.Row) *scope {
-	s := &scope{}
-	fillTableScope(s, t, alias, r)
-	return s
 }
 
 // fillTableScope populates a (possibly recycled) scope for one row of a

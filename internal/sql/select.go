@@ -7,18 +7,26 @@ import (
 	"xmlordb/internal/ordb"
 )
 
-// querySelect executes a SELECT with an optional outer environment (for
-// correlated subqueries). The statement is compiled into a Volcano-style
-// iterator pipeline (see volcano.go and internal/exec) and drained into
-// a materialized Rows result. FROM items are evaluated left to right
-// with lateral visibility: a TABLE(expr) item may reference the aliases
-// bound by items to its left, as Oracle's collection unnesting permits.
+// querySelect executes a top-level SELECT or a view definition. The
+// statement is bound once per cached plan (bind.go), compiled into a
+// Volcano-style iterator pipeline (see volcano.go and internal/exec) and
+// drained into a materialized Rows result. FROM items are evaluated left
+// to right with lateral visibility: a TABLE(expr) item may reference the
+// aliases bound by items to its left, as Oracle's collection unnesting
+// permits.
 //
 // Equality predicates between base-table columns are executed as hash
 // joins: the inner table is indexed once per query and probed with the
 // outer key, so equi-joins cost O(n+m) rather than O(n*m).
-func (en *Engine) querySelect(sel *SelectStmt, outer *env) (*Rows, error) {
-	node, cols, err := en.buildSelect(sel, outer)
+func (en *Engine) querySelect(sel *SelectStmt) (*Rows, error) {
+	return en.run(sel, nil, nil)
+}
+
+// run executes sel with its bound plan bp — nil to take it from the plan
+// cache — and outer, the execution state of the enclosing query of a
+// correlated subquery.
+func (en *Engine) run(sel *SelectStmt, bp *boundSelect, outer *execState) (*Rows, error) {
+	node, cols, err := en.buildSelect(sel, bp, outer)
 	if err != nil {
 		return nil, err
 	}
@@ -64,62 +72,63 @@ var aggregateNames = map[string]bool{
 	"COUNT": true, "MIN": true, "MAX": true, "SUM": true, "AVG": true,
 }
 
-// aggregateCalls returns the aggregate calls of the select list, or nil
-// when the query is not an aggregation.
-func aggregateCalls(sel *SelectStmt) []*Call {
-	var out []*Call
+// hasAggregate reports whether the select list aggregates.
+func hasAggregate(sel *SelectStmt) bool {
 	for _, item := range sel.Items {
-		if c, ok := item.Expr.(*Call); ok && aggregateNames[strings.ToUpper(c.Name)] {
-			out = append(out, c)
+		if isAggregate(item.Expr) {
+			return true
 		}
 	}
-	return out
+	return false
+}
+
+// isAggregate reports an aggregate call.
+func isAggregate(e Expr) bool {
+	c, ok := e.(*Call)
+	return ok && aggregateNames[strings.ToUpper(c.Name)]
 }
 
 type accumulator struct {
-	call *Call
+	aggSpec
 	n    int
 	sum  float64
 	best ordb.Value // MIN/MAX running value
 }
 
-// newAccumulators validates that every select item is an aggregate (no
-// GROUP BY support) and builds the accumulators.
-func newAccumulators(sel *SelectStmt) ([]*accumulator, error) {
-	var out []*accumulator
+// checkAggregate validates that every select item of a query without
+// GROUP BY is an aggregate of one argument (or COUNT(*)).
+func checkAggregate(sel *SelectStmt) error {
 	for _, item := range sel.Items {
-		c, ok := item.Expr.(*Call)
-		if !ok || !aggregateNames[strings.ToUpper(c.Name)] {
-			return nil, fmt.Errorf("sql: cannot mix aggregates with row expressions (no GROUP BY support)")
+		if !isAggregate(item.Expr) {
+			return fmt.Errorf("sql: cannot mix aggregates with row expressions (no GROUP BY support)")
 		}
+		c := item.Expr.(*Call)
 		if !c.Star && len(c.Args) != 1 {
-			return nil, fmt.Errorf("sql: %s takes one argument", c.Name)
+			return fmt.Errorf("sql: %s takes one argument", c.Name)
 		}
-		out = append(out, &accumulator{call: c})
 	}
-	return out, nil
+	return nil
 }
 
-func (a *accumulator) add(en *Engine, ev *env) error {
-	name := strings.ToUpper(a.call.Name)
-	if a.call.Star {
+func (a *accumulator) add(st *execState) error {
+	if a.arg == nil {
 		a.n++
 		return nil
 	}
-	v, err := en.eval(a.call.Args[0], ev)
+	v, err := a.arg.eval(st)
 	if err != nil {
 		return err
 	}
 	if ordb.IsNull(v) {
 		return nil // aggregates skip NULLs
 	}
-	switch name {
+	switch a.fn {
 	case "COUNT":
 		a.n++
 	case "SUM", "AVG":
 		n, ok := v.(ordb.Num)
 		if !ok {
-			return fmt.Errorf("sql: %s requires numeric values, got %T", name, v)
+			return fmt.Errorf("sql: %s requires numeric values, got %T", a.fn, v)
 		}
 		a.n++
 		a.sum += float64(n)
@@ -132,7 +141,7 @@ func (a *accumulator) add(en *Engine, ev *env) error {
 		if err != nil {
 			return err
 		}
-		if (name == "MIN" && c < 0) || (name == "MAX" && c > 0) {
+		if (a.fn == "MIN" && c < 0) || (a.fn == "MAX" && c > 0) {
 			a.best = v
 		}
 	}
@@ -140,7 +149,7 @@ func (a *accumulator) add(en *Engine, ev *env) error {
 }
 
 func (a *accumulator) result() ordb.Value {
-	switch strings.ToUpper(a.call.Name) {
+	switch a.fn {
 	case "COUNT":
 		return ordb.Num(a.n)
 	case "SUM":
@@ -164,26 +173,32 @@ func (a *accumulator) result() ordb.Value {
 // join planning --------------------------------------------------------
 
 // joinSpec accelerates one FROM item: rows whose keyCol equals the value
-// of otherExpr (evaluated against the already bound scopes) are fetched
-// by a persistent-index probe when the column is indexed, or from a hash
-// table built once per execution otherwise. The spec itself is immutable
-// — plans are cached per statement (see cache.go) — while per-execution
-// hash state lives in execState.
+// of key (otherExpr bound against the legs to the item's left) are
+// fetched by a persistent-index probe when the column is indexed, or from
+// a hash table built once per execution otherwise. The spec itself is
+// immutable — plans are cached per statement (see cache.go) — while
+// per-execution hash state lives in execState.
 type joinSpec struct {
 	keyCol    string
 	otherExpr Expr
+	key       bexpr
 }
 
-type queryPlan struct {
-	joins []*joinSpec // one slot per FROM item, nil = full scan
-}
-
-// execState is the per-execution scratch of one querySelect call: the
-// lazily built fallback hash tables (one slot per FROM item) and a scope
-// free-list so row enumeration does not allocate a scope per binding.
+// execState is the per-execution state of one SELECT, or of one DML
+// statement or CHECK evaluation: the row binding of each FROM leg, the
+// memo slots of the bound expressions (bind.go), and the lazily built
+// fallback hash tables. A correlated subquery's state points at the
+// state of the query it is evaluated in.
 type execState struct {
-	hashes []joinHash
-	free   []*scope
+	en     *Engine
+	outer  *execState
+	scopes []scope // one per FROM leg, in FROM order
+	slots  []slot
+	hashes []joinHash // one per FROM leg once a hash join needs one
+}
+
+func (en *Engine) newExecState(outer *execState, legs, slots int) *execState {
+	return &execState{en: en, outer: outer, scopes: make([]scope, legs), slots: make([]slot, slots)}
 }
 
 type joinHash struct {
@@ -191,40 +206,12 @@ type joinHash struct {
 	built bool
 }
 
-func newExecState(fromItems int) *execState {
-	return &execState{hashes: make([]joinHash, fromItems)}
-}
-
-// getScope recycles a scope from the free list (or allocates one).
-func (st *execState) getScope() *scope {
-	if n := len(st.free); n > 0 {
-		s := st.free[n-1]
-		st.free = st.free[:n-1]
-		return s
-	}
-	return &scope{}
-}
-
-// putScope returns a scope whose binding is no longer live. Callers must
-// not retain the pointer.
-func (st *execState) putScope(s *scope) {
-	*s = scope{}
-	st.free = append(st.free, s)
-}
-
 // planJoins finds equality conjuncts that let a FROM item avoid a full
 // scan: `a.x = b.y` joining the item to an earlier one, or `a.x = const`
-// filtering it directly.
-func (en *Engine) planJoins(sel *SelectStmt) *queryPlan {
-	plan := &queryPlan{joins: make([]*joinSpec, len(sel.From))}
+// filtering it directly. aliases are the legs' aliases.
+func (en *Engine) planJoins(sel *SelectStmt, aliases []string) []*joinSpec {
+	joins := make([]*joinSpec, len(sel.From))
 	conjuncts := flattenAnd(sel.Where)
-	aliases := make([]string, len(sel.From))
-	for i, f := range sel.From {
-		aliases[i] = f.Alias
-		if aliases[i] == "" {
-			aliases[i] = f.Table
-		}
-	}
 	boundBefore := func(idx int, alias string) bool {
 		for j := 0; j < idx; j++ {
 			if strings.EqualFold(aliases[j], alias) {
@@ -267,11 +254,11 @@ func (en *Engine) planJoins(sel *SelectStmt) *queryPlan {
 			if tbl.ColIndex(mine.Parts[1]) < 0 {
 				continue
 			}
-			plan.joins[i] = &joinSpec{keyCol: mine.Parts[1], otherExpr: other}
+			joins[i] = &joinSpec{keyCol: mine.Parts[1], otherExpr: other}
 			break
 		}
 	}
-	return plan
+	return joins
 }
 
 // isConstExpr reports expressions whose value cannot depend on any row
@@ -331,73 +318,63 @@ func (jh *joinHash) build(t *ordb.Table, keyCol string) {
 	})
 }
 
-func (en *Engine) whereMatches(where Expr, ev *env) (bool, error) {
-	if where == nil {
-		return true, nil
-	}
-	v, err := en.eval(where, ev)
-	if err != nil {
-		return false, err
-	}
-	return !ordb.IsNull(v) && truthy(v), nil
-}
-
-func (p *queryPlan) join(idx int) *joinSpec {
-	if p == nil || idx >= len(p.joins) {
-		return nil
-	}
-	return p.joins[idx]
-}
-
-// projectRow evaluates the select list for the current row environment.
-func (en *Engine) projectRow(sel *SelectStmt, ev *env) ([]ordb.Value, error) {
-	var out []ordb.Value
-	for _, item := range sel.Items {
-		if item.Star {
-			// Expand every column of every scope bound by this query.
-			for _, s := range ev.scopes {
-				out = append(out, s.vals...)
+// projectRow evaluates the select list for the current row binding and
+// appends the ORDER BY keys after it. A * item expands each FROM leg to
+// the columns starLegs named for it (legCols), or to its whole value
+// where whole is set.
+func projectRow(bp *boundSelect, st *execState, legCols [][]ordb.Column, whole []bool) ([]ordb.Value, error) {
+	out := make([]ordb.Value, 0, len(bp.items)+len(bp.orderBy))
+	for i, e := range bp.items {
+		if e != nil {
+			v, err := e.eval(st)
+			if err != nil {
+				return nil, err
 			}
+			out = append(out, v)
 			continue
 		}
-		v, err := en.eval(item.Expr, ev)
+		if !bp.sel.Items[i].Star {
+			continue
+		}
+		// Expand every leg of this query, as its columns were named; a
+		// NULL element of an object collection reads as NULL attributes.
+		for j := range st.scopes {
+			s := &st.scopes[j]
+			if whole[j] {
+				out = append(out, s.value())
+				continue
+			}
+			for k := range legCols[j] {
+				var v ordb.Value = ordb.Null{}
+				if k < len(s.vals) {
+					v = s.vals[k]
+				}
+				out = append(out, v)
+			}
+		}
+	}
+	for _, o := range bp.orderBy {
+		k, err := o.eval(st)
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, v)
+		out = append(out, k)
 	}
 	return out, nil
 }
 
-// resultColumns derives the output column names.
-func (en *Engine) resultColumns(sel *SelectStmt) ([]string, error) {
+// resultColumns derives the output column names. legCols names the
+// columns of each FROM leg that a * item expands to; it is needed only
+// when the select list has one.
+func resultColumns(sel *SelectStmt, legCols [][]ordb.Column) []string {
 	var cols []string
 	for _, item := range sel.Items {
 		switch {
 		case item.Star:
-			// Star columns are resolved against the FROM tables.
-			for _, f := range sel.From {
-				if f.Table == "" {
-					cols = append(cols, "COLUMN_VALUE")
-					continue
+			for _, lc := range legCols {
+				for _, c := range lc {
+					cols = append(cols, c.Name)
 				}
-				if tbl, err := en.db.Table(f.Table); err == nil {
-					for _, c := range tbl.Cols {
-						cols = append(cols, c.Name)
-					}
-					continue
-				}
-				if view, err := en.db.View(f.Table); err == nil {
-					if vsel, ok := view.Compiled.(*SelectStmt); ok {
-						vc, err := en.resultColumns(vsel)
-						if err != nil {
-							return nil, err
-						}
-						cols = append(cols, vc...)
-						continue
-					}
-				}
-				return nil, fmt.Errorf("sql: no table or view %q", f.Table)
 			}
 		case item.Alias != "":
 			cols = append(cols, item.Alias)
@@ -405,7 +382,125 @@ func (en *Engine) resultColumns(sel *SelectStmt) ([]string, error) {
 			cols = append(cols, defaultColumnName(item.Expr))
 		}
 	}
-	return cols, nil
+	return cols
+}
+
+// starLegs resolves, against the catalog, the columns of each FROM leg
+// as a * item expands them, with their types where the catalog knows
+// them. A table or view leg expands to its columns. A TABLE() leg
+// expands to the attributes of its element type (of the REF target for
+// REF elements) when that type follows statically from the argument,
+// and otherwise to one COLUMN_VALUE holding the whole element; whole
+// marks those legs.
+func (en *Engine) starLegs(sel *SelectStmt) (legs [][]ordb.Column, whole []bool, err error) {
+	legs = make([][]ordb.Column, len(sel.From))
+	whole = make([]bool, len(sel.From))
+	aliases := make([]string, len(sel.From))
+	for i, f := range sel.From {
+		aliases[i] = legAlias(f, i)
+		if f.Table == "" {
+			legs[i], whole[i] = elemColumns(en.exprType(f.Unnest, aliases[:i], legs[:i]))
+			continue
+		}
+		if tbl, err := en.db.Table(f.Table); err == nil {
+			legs[i] = tbl.Cols
+			continue
+		}
+		if view, err := en.db.View(f.Table); err == nil {
+			if vsel, ok := view.Compiled.(*SelectStmt); ok {
+				vlegs, _, err := en.starLegs(vsel)
+				if err != nil {
+					return nil, nil, err
+				}
+				for _, name := range resultColumns(vsel, vlegs) {
+					legs[i] = append(legs[i], ordb.Column{Name: name})
+				}
+				continue
+			}
+		}
+		return nil, nil, fmt.Errorf("sql: no table or view %q", f.Table)
+	}
+	return legs, whole, nil
+}
+
+// elemColumns names the columns of a TABLE() leg over a collection of
+// type t (nil when unknown), reporting whether the leg expands to its
+// whole element.
+func elemColumns(t ordb.Type) ([]ordb.Column, bool) {
+	elem := ordb.ElemType(t)
+	if r, ok := elem.(*ordb.RefType); ok {
+		elem = r.Target
+	}
+	if o, ok := elem.(*ordb.ObjectType); ok {
+		cols := make([]ordb.Column, len(o.Attrs))
+		for i, a := range o.Attrs {
+			cols[i] = ordb.Column{Name: a.Name, Type: a.Type}
+		}
+		return cols, false
+	}
+	return []ordb.Column{{Name: "COLUMN_VALUE", Type: elem}}, true
+}
+
+// exprType is the static type of a TABLE() argument, resolved the way the
+// binder resolves its names against the legs to its left, or nil when it
+// does not follow from the catalog.
+func (en *Engine) exprType(e Expr, aliases []string, legs [][]ordb.Column) ordb.Type {
+	switch x := e.(type) {
+	case *CastMultiset:
+		t, _ := en.db.Type(x.TypeName)
+		return t
+	case *Path:
+		t, steps, ok := headType(x.Parts, aliases, legs)
+		if !ok {
+			return nil
+		}
+		for _, step := range steps {
+			if r, isRef := t.(*ordb.RefType); isRef {
+				t = r.Target
+			}
+			o, isObj := t.(*ordb.ObjectType)
+			if !isObj {
+				return nil
+			}
+			a := o.Attr(step)
+			if a == nil {
+				return nil
+			}
+			t = a.Type
+		}
+		return t
+	}
+	return nil
+}
+
+// headType types the column a path starts from — an alias's column, or
+// else an unqualified column of the innermost leg that has one — and
+// returns the attribute steps that follow it.
+func headType(parts, aliases []string, legs [][]ordb.Column) (ordb.Type, []string, bool) {
+	for j := len(aliases) - 1; j >= 0; j-- {
+		if strings.EqualFold(aliases[j], parts[0]) {
+			if len(parts) < 2 {
+				return nil, nil, false
+			}
+			t, ok := columnType(legs[j], parts[1])
+			return t, parts[2:], ok
+		}
+	}
+	for j := len(legs) - 1; j >= 0; j-- {
+		if t, ok := columnType(legs[j], parts[0]); ok {
+			return t, parts[1:], true
+		}
+	}
+	return nil, nil, false
+}
+
+func columnType(cols []ordb.Column, name string) (ordb.Type, bool) {
+	for _, c := range cols {
+		if strings.EqualFold(c.Name, name) {
+			return c.Type, true
+		}
+	}
+	return nil, false
 }
 
 func defaultColumnName(e Expr) string {

@@ -2,6 +2,7 @@ package sql
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -9,104 +10,102 @@ import (
 	"xmlordb/internal/ordb"
 )
 
-// Volcano-style plan construction. buildSelect turns a SELECT into a
-// tree of exec plan nodes; the nodes pull rows one at a time through
-// Next(). The exec package is SQL-agnostic: every predicate, projection
-// and aggregation step is a closure built here that reads the shared
-// evaluation environment `ev`, which the FROM legs keep bound to the
-// current row combination. The single-threaded pull discipline makes
-// that side-effect binding safe. Binding a row allocates nothing: scopes
-// come from the execState free list, each unnest leg reuses one iterator,
-// literals are boxed by the parser and catalog lookups fold names on the
-// stack. TestScanAllocations (root package) pins it: the read_mix join and
-// XPath over 1 000 Appendix A documents stay under a fixed allocation
-// ceiling, and a larger store adds no allocations beyond its added
-// result rows.
+// Volcano-style plan construction. buildSelect turns a bound SELECT
+// (bind.go) into a tree of exec plan nodes; the nodes pull rows one at a
+// time through Next(). The exec package is SQL-agnostic: every
+// predicate, projection and aggregation step is a closure built here
+// that evaluates bound expressions against the execution's state `st`,
+// whose per-leg scopes the FROM legs keep bound to the current row
+// combination. The single-threaded pull discipline makes that
+// side-effect binding safe. Names were bound to (depth, leg) positions
+// once per cached plan, so the per-row path indexes slices and compares
+// no name: a column's position in its scope and a navigation step's
+// attribute index are memoised in st's slots, keyed on the scope's
+// column-name slice and the object's type name. Binding a row allocates
+// nothing: each leg owns one scope and reuses one iterator, literals are
+// boxed by the parser and string literals trimmed by the binder, and the
+// EXPLAIN texts are rendered only when a plan is explained.
+// TestScanAllocations (root package) pins it: the read_mix join and XPath
+// over 1 000 Appendix A documents stay under a fixed allocation ceiling,
+// and a larger store adds no allocations beyond its added result rows.
 
 // buildSelect compiles sel into an executable plan rooted at a node
-// whose rows are the final result rows. outer supplies the environment
-// of correlated subqueries.
-func (en *Engine) buildSelect(sel *SelectStmt, outer *env) (exec.Node, []string, error) {
+// whose rows are the final result rows. bp is sel's bound plan, nil to
+// take it from the plan cache; outer is the state of the enclosing query
+// of a correlated subquery.
+func (en *Engine) buildSelect(sel *SelectStmt, bp *boundSelect, outer *execState) (exec.Node, []string, error) {
 	if len(sel.From) == 0 {
 		return nil, nil, fmt.Errorf("sql: SELECT requires a FROM clause")
 	}
-	cols, err := en.resultColumns(sel)
-	if err != nil {
-		return nil, nil, err
+	var legCols [][]ordb.Column
+	var whole []bool
+	var cols []string
+	if hasStar(sel) {
+		var err error
+		if legCols, whole, err = en.starLegs(sel); err != nil {
+			return nil, nil, err
+		}
+		cols = resultColumns(sel, legCols)
 	}
-	plan := en.planFor(sel)
-	st := newExecState(len(sel.From))
-	ev := &env{parent: outer}
+	if bp == nil {
+		bp = en.planFor(sel)
+	}
+	if bp.err != nil {
+		return nil, nil, bp.err
+	}
+	if legCols == nil {
+		cols = bp.cols
+	}
+	st := en.newExecState(outer, len(sel.From), bp.nslots)
 	legs := make([]exec.Leg, len(sel.From))
-	for i, item := range sel.From {
-		if item.Unnest != nil {
-			legs[i] = en.newUnnestLeg(ev, st, item, i)
+	for i := range sel.From {
+		if sel.From[i].Unnest != nil {
+			legs[i] = newUnnestLeg(st, i, &bp.legs[i], &sel.From[i])
 		} else {
-			legs[i] = en.newSourceLeg(ev, st, item, i, plan.join(i))
+			legs[i] = &sourceLeg{st: st, idx: i, spec: &bp.legs[i], item: &sel.From[i]}
 		}
 	}
 	var node exec.Node = &exec.Join{Legs: legs}
-	if sel.Where != nil {
-		where := sel.Where
+	if bp.where != nil {
 		node = &exec.Filter{
 			Child: node,
-			Cond:  FormatExpr(where),
-			Pred:  func() (bool, error) { return en.whereMatches(where, ev) },
+			Cond:  (*whereText)(bp),
+			Pred:  func() (bool, error) { return truth(bp.where, st) },
 		}
 	}
-	if len(sel.GroupBy) > 0 {
-		node, err = en.buildGrouped(sel, ev, node)
-		if err != nil {
-			return nil, nil, err
-		}
-		return node, cols, nil
+	switch {
+	case len(sel.GroupBy) > 0:
+		return buildGrouped(bp, st, node), cols, nil
+	case bp.aggregate:
+		return buildAggregate(bp, st, node), cols, nil
 	}
-	if aggregateCalls(sel) != nil {
-		node, err = en.buildAggregate(sel, ev, node)
-		if err != nil {
-			return nil, nil, err
-		}
-		return node, cols, nil
-	}
-	return en.buildProjection(sel, ev, node), cols, nil
+	return buildProjection(bp, st, node, legCols, whole), cols, nil
 }
 
 // buildProjection assembles Project (+ Sort) for a plain row query.
 // ORDER BY keys are evaluated inside Emit, while the row binding is
 // live, and carried as hidden trailing columns that Sort strips — the
 // same key-per-row evaluation order as the eager path.
-func (en *Engine) buildProjection(sel *SelectStmt, ev *env, child exec.Node) exec.Node {
+func buildProjection(bp *boundSelect, st *execState, child exec.Node, legCols [][]ordb.Column, whole []bool) exec.Node {
 	var node exec.Node = &exec.Project{
 		Child: child,
-		Cols:  selectListText(sel),
-		Emit: func() (exec.Row, error) {
-			row, err := en.projectRow(sel, ev)
-			if err != nil {
-				return nil, err
-			}
-			for _, o := range sel.OrderBy {
-				k, err := en.eval(o.Expr, ev)
-				if err != nil {
-					return nil, err
-				}
-				row = append(row, k)
-			}
-			return row, nil
-		},
+		Cols:  (*itemsText)(bp),
+		Emit:  func() (exec.Row, error) { return projectRow(bp, st, legCols, whole) },
 	}
-	if len(sel.OrderBy) == 0 {
+	if len(bp.orderBy) == 0 {
 		return node
 	}
-	nKeys := len(sel.OrderBy)
+	order := bp.sel.OrderBy
+	nKeys := len(order)
 	return &exec.Sort{
 		Child: node,
-		By:    orderByText(sel),
+		By:    (*orderText)(bp),
 		Strip: nKeys,
 		SortFn: func(rows []exec.Row) error {
 			var sortErr error
 			sort.SliceStable(rows, func(i, j int) bool {
 				a, b := rows[i], rows[j]
-				for k, o := range sel.OrderBy {
+				for k, o := range order {
 					c, err := orderCompare(a[len(a)-nKeys+k], b[len(b)-nKeys+k])
 					if err != nil && sortErr == nil {
 						sortErr = err
@@ -127,17 +126,17 @@ func (en *Engine) buildProjection(sel *SelectStmt, ev *env, child exec.Node) exe
 
 // buildAggregate assembles the no-GROUP-BY aggregation node, which emits
 // exactly one row even over empty input.
-func (en *Engine) buildAggregate(sel *SelectStmt, ev *env, child exec.Node) (exec.Node, error) {
-	accs, err := newAccumulators(sel)
-	if err != nil {
-		return nil, err
+func buildAggregate(bp *boundSelect, st *execState, child exec.Node) exec.Node {
+	accs := make([]accumulator, len(bp.aggs))
+	for i, a := range bp.aggs {
+		accs[i].aggSpec = a
 	}
 	return &exec.Aggregate{
 		Child: child,
-		Funcs: selectListText(sel),
+		Funcs: (*itemsText)(bp),
 		Add: func() error {
-			for _, a := range accs {
-				if err := a.add(en, ev); err != nil {
+			for i := range accs {
+				if err := accs[i].add(st); err != nil {
 					return err
 				}
 			}
@@ -145,12 +144,12 @@ func (en *Engine) buildAggregate(sel *SelectStmt, ev *env, child exec.Node) (exe
 		},
 		Emit: func() (exec.Row, error) {
 			row := make([]ordb.Value, len(accs))
-			for i, a := range accs {
-				row[i] = a.result()
+			for i := range accs {
+				row[i] = accs[i].result()
 			}
 			return row, nil
 		},
-	}, nil
+	}
 }
 
 // groupState is the per-group accumulator state of a GroupBy node.
@@ -159,44 +158,37 @@ type groupState struct {
 	rep  []ordb.Value
 }
 
-// buildGrouped assembles GroupBy (+ Sort). Select items are classified
-// at build time — the same validation errors as the eager path, raised
-// before any row is read.
-func (en *Engine) buildGrouped(sel *SelectStmt, ev *env, child exec.Node) (exec.Node, error) {
+// checkGrouped classifies the select items of a GROUP BY query: each
+// must be an aggregate or one of the GROUP BY expressions.
+func checkGrouped(sel *SelectStmt) error {
 	groupTexts := make([]string, len(sel.GroupBy))
 	for i, g := range sel.GroupBy {
 		groupTexts[i] = FormatExpr(g)
 	}
-	isGroupExpr := func(e Expr) bool {
-		text := FormatExpr(e)
-		for _, g := range groupTexts {
-			if g == text {
-				return true
-			}
-		}
-		return false
-	}
-	aggItem := make([]bool, len(sel.Items))
-	for i, item := range sel.Items {
+	for _, item := range sel.Items {
 		if item.Star {
-			return nil, fmt.Errorf("sql: SELECT * cannot be combined with GROUP BY")
+			return fmt.Errorf("sql: SELECT * cannot be combined with GROUP BY")
 		}
-		if c, ok := item.Expr.(*Call); ok && aggregateNames[strings.ToUpper(c.Name)] {
-			aggItem[i] = true
+		if isAggregate(item.Expr) {
 			continue
 		}
-		if !isGroupExpr(item.Expr) {
-			return nil, fmt.Errorf("sql: %s is neither an aggregate nor a GROUP BY expression",
-				FormatExpr(item.Expr))
+		if text := FormatExpr(item.Expr); !slices.Contains(groupTexts, text) {
+			return fmt.Errorf("sql: %s is neither an aggregate nor a GROUP BY expression", text)
 		}
 	}
+	return nil
+}
+
+// buildGrouped assembles GroupBy (+ Sort). The select items were
+// classified by checkGrouped when the plan was bound.
+func buildGrouped(bp *boundSelect, st *execState, child exec.Node) exec.Node {
 	var node exec.Node = &exec.GroupBy{
 		Child: child,
-		Keys:  strings.Join(groupTexts, ", "),
+		Keys:  (*groupText)(bp),
 		Key: func() (string, error) {
 			var keyParts []string
-			for _, g := range sel.GroupBy {
-				v, err := en.eval(g, ev)
+			for _, g := range bp.groupBy {
+				v, err := g.eval(st)
 				if err != nil {
 					return "", err
 				}
@@ -206,14 +198,14 @@ func (en *Engine) buildGrouped(sel *SelectStmt, ev *env, child exec.Node) (exec.
 			return strings.Join(keyParts, "\x00"), nil
 		},
 		NewGroup: func() (any, error) {
-			grp := &groupState{rep: make([]ordb.Value, len(sel.Items))}
-			for i, item := range sel.Items {
-				if aggItem[i] {
-					grp.accs = append(grp.accs, &accumulator{call: item.Expr.(*Call)})
+			grp := &groupState{rep: make([]ordb.Value, len(bp.items))}
+			for i, e := range bp.items {
+				if bp.aggs[i].fn != "" {
+					grp.accs = append(grp.accs, &accumulator{aggSpec: bp.aggs[i]})
 					continue
 				}
 				grp.accs = append(grp.accs, nil)
-				v, err := en.eval(item.Expr, ev)
+				v, err := e.eval(st)
 				if err != nil {
 					return nil, err
 				}
@@ -223,9 +215,9 @@ func (en *Engine) buildGrouped(sel *SelectStmt, ev *env, child exec.Node) (exec.
 		},
 		Add: func(state any) error {
 			grp := state.(*groupState)
-			for i := range sel.Items {
-				if aggItem[i] {
-					if err := grp.accs[i].add(en, ev); err != nil {
+			for _, a := range grp.accs {
+				if a != nil {
+					if err := a.add(st); err != nil {
 						return err
 					}
 				}
@@ -234,10 +226,10 @@ func (en *Engine) buildGrouped(sel *SelectStmt, ev *env, child exec.Node) (exec.
 		},
 		Emit: func(state any) (exec.Row, error) {
 			grp := state.(*groupState)
-			row := make([]ordb.Value, len(sel.Items))
-			for i := range sel.Items {
-				if aggItem[i] {
-					row[i] = grp.accs[i].result()
+			row := make([]ordb.Value, len(bp.items))
+			for i, a := range grp.accs {
+				if a != nil {
+					row[i] = a.result()
 				} else {
 					row[i] = grp.rep[i]
 				}
@@ -245,20 +237,21 @@ func (en *Engine) buildGrouped(sel *SelectStmt, ev *env, child exec.Node) (exec.
 			return row, nil
 		},
 	}
-	if len(sel.OrderBy) == 0 {
-		return node, nil
+	if len(bp.orderBy) == 0 {
+		return node
 	}
+	order := bp.sel.OrderBy
 	return &exec.Sort{
 		Child: node,
-		By:    orderByText(sel),
+		By:    (*orderText)(bp),
 		SortFn: func(rows []exec.Row) error {
-			keyCols, err := groupOrderKeyCols(sel)
-			if err != nil {
-				return err
+			if bp.orderErr != nil {
+				return bp.orderErr
 			}
+			keyCols := bp.orderCols
 			var sortErr error
 			sort.SliceStable(rows, func(a, b int) bool {
-				for i, o := range sel.OrderBy {
+				for i, o := range order {
 					c, err := orderCompare(rows[a][keyCols[i]], rows[b][keyCols[i]])
 					if err != nil && sortErr == nil {
 						sortErr = err
@@ -274,7 +267,7 @@ func (en *Engine) buildGrouped(sel *SelectStmt, ev *env, child exec.Node) (exec.
 			})
 			return sortErr
 		},
-	}, nil
+	}
 }
 
 // groupOrderKeyCols resolves each ORDER BY key of a GROUP BY query to a
@@ -309,6 +302,28 @@ func groupOrderKeyCols(sel *SelectStmt) ([]int, error) {
 
 // display helpers ------------------------------------------------------
 
+// The EXPLAIN texts of a plan's nodes, rendered only when a plan is
+// explained. Each is the bound plan under another name, so handing one to
+// an exec node allocates nothing.
+type (
+	whereText boundSelect
+	itemsText boundSelect
+	orderText boundSelect
+	groupText boundSelect
+)
+
+func (t *whereText) String() string { return FormatExpr(t.sel.Where) }
+func (t *itemsText) String() string { return selectListText(t.sel) }
+func (t *orderText) String() string { return orderByText(t.sel) }
+
+func (t *groupText) String() string {
+	parts := make([]string, len(t.sel.GroupBy))
+	for i, g := range t.sel.GroupBy {
+		parts[i] = FormatExpr(g)
+	}
+	return strings.Join(parts, ", ")
+}
+
 func selectListText(sel *SelectStmt) string {
 	parts := make([]string, len(sel.Items))
 	for i, item := range sel.Items {
@@ -338,7 +353,7 @@ func orderByText(sel *SelectStmt) string {
 // explainSelect compiles sel (without opening any iterator) and renders
 // the plan tree, one node per row in a single PLAN column.
 func (en *Engine) explainSelect(sel *SelectStmt) (*Rows, error) {
-	node, _, err := en.buildSelect(sel, nil)
+	node, _, err := en.buildSelect(sel, nil, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -354,47 +369,43 @@ func (en *Engine) explainSelect(sel *SelectStmt) (*Rows, error) {
 // sourceLeg scans or probes a base table (or materializes a view). The
 // catalog is resolved lazily at Open so that an unresolvable inner
 // source only errors once the outer legs actually produce a row —
-// preserving lateral evaluation order. The label is computed at build
-// time on a best-effort catalog peek, purely for EXPLAIN.
+// preserving lateral evaluation order. The join odometer closes a leg
+// before it reopens it, so the leg keeps its iterators and reuses them.
 type sourceLeg struct {
-	en    *Engine
-	ev    *env
-	st    *execState
-	item  FromItem
-	idx   int
-	js    *joinSpec
-	label string
+	st   *execState
+	idx  int
+	spec *boundLeg
+	item *FromItem
+	rows rowsLegIter
+	scan scanLegIter
+	view viewLegIter
 }
 
-func (en *Engine) newSourceLeg(ev *env, st *execState, item FromItem, idx int, js *joinSpec) *sourceLeg {
-	l := &sourceLeg{en: en, ev: ev, st: st, item: item, idx: idx, js: js}
-	alias := item.Alias
-	if alias == "" {
-		alias = item.Table
-	}
-	name := item.Table + " AS " + alias
-	if tbl, err := en.db.Table(item.Table); err == nil {
+// Label renders the leg for EXPLAIN on a best-effort catalog peek.
+func (l *sourceLeg) Label() string {
+	name := l.item.Table + " AS " + l.spec.alias
+	js := l.spec.join
+	db := l.st.en.db
+	if tbl, err := db.Table(l.item.Table); err == nil {
 		switch {
 		case js == nil:
-			l.label = "TableScan " + name
+			return "TableScan " + name
 		case tbl.EqIndex(js.keyCol) != nil:
-			l.label = fmt.Sprintf("IndexProbe %s (%s = %s)", name, js.keyCol, FormatExpr(js.otherExpr))
+			return fmt.Sprintf("IndexProbe %s (%s = %s)", name, js.keyCol, FormatExpr(js.otherExpr))
 		default:
-			l.label = fmt.Sprintf("HashJoinProbe %s (%s = %s)", name, js.keyCol, FormatExpr(js.otherExpr))
+			return fmt.Sprintf("HashJoinProbe %s (%s = %s)", name, js.keyCol, FormatExpr(js.otherExpr))
 		}
-	} else if _, verr := en.db.View(item.Table); verr == nil {
-		l.label = "ViewScan " + name
-	} else {
-		l.label = "TableScan " + name
 	}
-	return l
+	if _, err := db.View(l.item.Table); err == nil {
+		return "ViewScan " + name
+	}
+	return "TableScan " + name
 }
 
-func (l *sourceLeg) Label() string         { return l.label }
 func (l *sourceLeg) Children() []exec.Plan { return nil }
 
 func (l *sourceLeg) Open() (exec.LegIter, error) {
-	tbl, err := l.en.db.Table(l.item.Table)
+	tbl, err := l.st.en.db.Table(l.item.Table)
 	if err != nil {
 		return l.openView()
 	}
@@ -402,44 +413,35 @@ func (l *sourceLeg) Open() (exec.LegIter, error) {
 	if alias == "" {
 		alias = tbl.Name
 	}
-	if l.js != nil {
-		// Probe key evaluated against the outer bindings before this
-		// leg's own scope exists.
-		key, err := l.en.eval(l.js.otherExpr, l.ev)
-		if err != nil {
-			return nil, err
-		}
-		if rows, ok := tbl.ProbeEqual(l.js.keyCol, key); ok {
-			return l.openRows(tbl, alias, rows), nil
+	s := &l.st.scopes[l.idx]
+	js := l.spec.join
+	if js == nil {
+		l.scan = scanLegIter{tbl: tbl, alias: alias, s: s, cur: tbl.Cursor()}
+		return &l.scan, nil
+	}
+	// Probe key evaluated against the outer bindings before this leg's
+	// own row is bound.
+	key, err := js.key.eval(l.st)
+	if err != nil {
+		return nil, err
+	}
+	rows, ok := tbl.ProbeEqual(js.keyCol, key)
+	if !ok {
+		if l.st.hashes == nil {
+			l.st.hashes = make([]joinHash, len(l.st.scopes))
 		}
 		jh := &l.st.hashes[l.idx]
-		jh.build(tbl, l.js.keyCol)
-		k, ok := joinKey(key)
-		if !ok {
-			return l.openRows(tbl, alias, nil), nil // NULL key joins nothing
-		}
-		return l.openRows(tbl, alias, jh.index[k]), nil
+		jh.build(tbl, js.keyCol)
+		if k, ok := joinKey(key); ok {
+			rows = jh.index[k]
+		} // a NULL key joins nothing
 	}
-	s := l.st.getScope()
-	l.ev.scopes = append(l.ev.scopes, s)
-	return &scanLegIter{leg: l, tbl: tbl, alias: alias, s: s, cur: tbl.Cursor()}, nil
+	l.rows = rowsLegIter{tbl: tbl, alias: alias, s: s, rows: rows}
+	return &l.rows, nil
 }
 
-// openRows binds a pre-fetched row list (index probe or hash bucket).
-func (l *sourceLeg) openRows(tbl *ordb.Table, alias string, rows []*ordb.Row) exec.LegIter {
-	s := l.st.getScope()
-	l.ev.scopes = append(l.ev.scopes, s)
-	return &rowsLegIter{leg: l, tbl: tbl, alias: alias, s: s, rows: rows}
-}
-
-// popScope unwinds one leg's scope binding.
-func popScope(ev *env, st *execState, s *scope) {
-	ev.scopes = ev.scopes[:len(ev.scopes)-1]
-	st.putScope(s)
-}
-
+// rowsLegIter binds a pre-fetched row list (index probe or hash bucket).
 type rowsLegIter struct {
-	leg   *sourceLeg
 	tbl   *ordb.Table
 	alias string
 	s     *scope
@@ -456,13 +458,9 @@ func (it *rowsLegIter) Next() (bool, error) {
 	return true, nil
 }
 
-func (it *rowsLegIter) Close() error {
-	popScope(it.leg.ev, it.leg.st, it.s)
-	return nil
-}
+func (it *rowsLegIter) Close() error { return nil }
 
 type scanLegIter struct {
-	leg   *sourceLeg
 	tbl   *ordb.Table
 	alias string
 	s     *scope
@@ -480,14 +478,13 @@ func (it *scanLegIter) Next() (bool, error) {
 
 func (it *scanLegIter) Close() error {
 	it.cur.Close()
-	popScope(it.leg.ev, it.leg.st, it.s)
 	return nil
 }
 
 // openView materializes a view definition (one querySelect per outer
 // binding, as before — view results are not cached across bindings).
 func (l *sourceLeg) openView() (exec.LegIter, error) {
-	view, err := l.en.db.View(l.item.Table)
+	view, err := l.st.en.db.View(l.item.Table)
 	if err != nil {
 		return nil, fmt.Errorf("sql: no table or view %q", l.item.Table)
 	}
@@ -495,7 +492,7 @@ func (l *sourceLeg) openView() (exec.LegIter, error) {
 	if !ok {
 		return nil, fmt.Errorf("sql: view %s has no compiled definition", view.Name)
 	}
-	rows, err := l.en.querySelect(vsel, nil)
+	rows, err := l.st.en.querySelect(vsel)
 	if err != nil {
 		return nil, fmt.Errorf("sql: view %s: %w", view.Name, err)
 	}
@@ -503,13 +500,11 @@ func (l *sourceLeg) openView() (exec.LegIter, error) {
 	if alias == "" {
 		alias = view.Name
 	}
-	s := l.st.getScope()
-	l.ev.scopes = append(l.ev.scopes, s)
-	return &viewLegIter{leg: l, alias: alias, s: s, rows: rows}, nil
+	l.view = viewLegIter{alias: alias, s: &l.st.scopes[l.idx], rows: rows}
+	return &l.view, nil
 }
 
 type viewLegIter struct {
-	leg   *sourceLeg
 	alias string
 	s     *scope
 	rows  *Rows
@@ -529,10 +524,7 @@ func (it *viewLegIter) Next() (bool, error) {
 	return true, nil
 }
 
-func (it *viewLegIter) Close() error {
-	popScope(it.leg.ev, it.leg.st, it.s)
-	return nil
-}
+func (it *viewLegIter) Close() error { return nil }
 
 // unnestLeg is a lateral TABLE(expr) item: the collection expression is
 // re-evaluated against the outer bindings every time the leg opens. The
@@ -540,37 +532,36 @@ func (it *viewLegIter) Close() error {
 // and reuses it on every Open, together with the attribute-column cache:
 // an unnest under an outer scan allocates nothing per outer row.
 type unnestLeg struct {
-	en    *Engine
-	ev    *env
-	st    *execState
-	item  FromItem
-	alias string
-	it    unnestLegIter
+	st   *execState
+	spec *boundLeg
+	item *FromItem
+	it   unnestLegIter
 	// attrTypeName/attrCols cache the attribute names of the element
 	// object type: collection elements are homogeneous, so one lookup
-	// serves every element of every open.
+	// serves every element of every open. A new type makes a new slice,
+	// which the column memo slots see as a new key.
 	attrTypeName string
 	attrCols     []string
 	// scalar backs the COLUMN_VALUE of a scalar element.
 	scalar [1]ordb.Value
 }
 
-func (en *Engine) newUnnestLeg(ev *env, st *execState, item FromItem, idx int) *unnestLeg {
-	alias := item.Alias
-	if alias == "" {
-		alias = fmt.Sprintf("TABLE_%d", idx+1)
-	}
-	return &unnestLeg{en: en, ev: ev, st: st, item: item, alias: alias}
+func newUnnestLeg(st *execState, idx int, spec *boundLeg, item *FromItem) *unnestLeg {
+	l := &unnestLeg{st: st, spec: spec, item: item}
+	s := &st.scopes[idx]
+	s.alias = spec.alias
+	l.it = unnestLegIter{leg: l, s: s}
+	return l
 }
 
 func (l *unnestLeg) Label() string {
-	return fmt.Sprintf("Unnest TABLE(%s) AS %s", FormatExpr(l.item.Unnest), l.alias)
+	return fmt.Sprintf("Unnest TABLE(%s) AS %s", FormatExpr(l.item.Unnest), l.spec.alias)
 }
 
 func (l *unnestLeg) Children() []exec.Plan { return nil }
 
 func (l *unnestLeg) Open() (exec.LegIter, error) {
-	v, err := l.en.eval(l.item.Unnest, l.ev)
+	v, err := l.spec.unnest.eval(l.st)
 	if err != nil {
 		return nil, err
 	}
@@ -582,9 +573,7 @@ func (l *unnestLeg) Open() (exec.LegIter, error) {
 		}
 		elems = coll.Elems
 	}
-	s := l.st.getScope()
-	l.ev.scopes = append(l.ev.scopes, s)
-	l.it = unnestLegIter{leg: l, s: s, elems: elems}
+	l.it.elems, l.it.i = elems, 0
 	return &l.it, nil
 }
 
@@ -603,22 +592,26 @@ func (it *unnestLegIter) Next() (bool, error) {
 	it.i++
 	l := it.leg
 	s := it.s
-	*s = scope{alias: l.alias, whole: elem}
+	// The scope is rebound field by field and a field that keeps its
+	// value is not written again, which spares the garbage collector's
+	// write barrier while it marks: the leg owns the scope for the whole
+	// execution, and its alias is set once.
 	// Object elements expose their attributes as columns; a REF element
 	// is dereferenced transparently for column access.
 	resolved := elem
 	if r, isRef := elem.(ordb.Ref); isRef {
-		o, err := l.en.db.Deref(r)
+		o, err := l.st.en.db.Deref(r)
 		if err != nil {
 			return false, err
 		}
 		resolved = o
-		s.table = r.Table
-		s.oid = r.OID
+		s.table, s.oid = r.Table, r.OID
+	} else if s.oid != 0 {
+		s.table, s.oid = "", 0
 	}
 	if o, isObj := resolved.(*ordb.Object); isObj {
 		if l.attrCols == nil || l.attrTypeName != o.TypeName {
-			t, err := l.en.db.Type(o.TypeName)
+			t, err := l.st.en.db.Type(o.TypeName)
 			if err != nil {
 				return false, err
 			}
@@ -629,19 +622,20 @@ func (it *unnestLegIter) Next() (bool, error) {
 			}
 			l.attrTypeName = o.TypeName
 		}
-		s.cols = l.attrCols
+		if !sameCols(s.cols, l.attrCols) {
+			s.cols = l.attrCols
+		}
 		s.vals = o.Attrs
 		s.whole = o
 	} else {
 		// Scalar elements expose Oracle's COLUMN_VALUE.
 		l.scalar[0] = resolved
-		s.cols = columnValueCols
-		s.vals = l.scalar[:]
+		if !sameCols(s.cols, columnValueCols) {
+			s.cols, s.vals = columnValueCols, l.scalar[:]
+		}
+		s.whole = elem
 	}
 	return true, nil
 }
 
-func (it *unnestLegIter) Close() error {
-	popScope(it.leg.ev, it.leg.st, it.s)
-	return nil
-}
+func (it *unnestLegIter) Close() error { return nil }

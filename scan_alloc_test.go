@@ -47,14 +47,17 @@ func loadScanCorpus(t testing.TB, store *xmlordb.Store, from, to int) {
 }
 
 // TestScanAllocations pins that the nested-collection scan allocates
-// nothing per scanned row: at 1 000 documents the read_mix join and
-// XPath queries stay under a fixed allocation ceiling, and quadrupling
-// the store adds no more allocations than it adds result rows.
+// nothing per scanned row: at 1 000 documents the read_mix join, XPath
+// and point queries stay under a fixed allocation ceiling, and
+// quadrupling the store adds no more allocations than it adds result
+// rows. Each text is bound once: repeated executions all hit its cached
+// plan.
 func TestScanAllocations(t *testing.T) {
 	store, err := xmlordb.Open(workload.UniversityDTD, "University", xmlordb.Config{})
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
+	missesBefore := store.CacheStats().PlanMisses
 	_, xpathSQL, err := store.XPath(scanXPath)
 	if err != nil {
 		t.Fatalf("XPath: %v", err)
@@ -66,6 +69,9 @@ func TestScanAllocations(t *testing.T) {
 	}{
 		{"sql_join", scanJoinSQL, 200},
 		{"xpath", xpathSQL, 100},
+		// DocID 5 holds five students. Before plans were bound once and
+		// EXPLAIN texts rendered lazily, this query allocated 45 times.
+		{"sql_point", fmt.Sprintf(scanPointSQL, 5), 32},
 	}
 	measure := func(text string) (allocs float64, rows int) {
 		t.Helper()
@@ -102,6 +108,9 @@ func TestScanAllocations(t *testing.T) {
 			t.Errorf("%s: allocations grew by %.0f from 250 to 1000 documents, result rows by %.0f",
 				q.name, growth, rowGrowth)
 		}
+	}
+	if misses := store.CacheStats().PlanMisses - missesBefore; misses != int64(len(queries)) {
+		t.Errorf("%d plan misses over %d repeatedly executed texts, want one per text", misses, len(queries))
 	}
 }
 
