@@ -131,6 +131,91 @@ func TestLiveScansBesideTransactionWriter(t *testing.T) {
 	}
 }
 
+// TestLiveProbesBesideTransactionWriter: a writer inserts and deletes
+// rows under three indexed values inside one transaction, so the index
+// trie nodes it makes stay unpublished and change in place, while readers
+// probe the live table for those values and read each result outside the
+// lock (run with -race). A result is copied when it shares a node that may
+// still change: every probe returns rows holding the probed value in
+// strictly increasing key order.
+func TestLiveProbesBesideTransactionWriter(t *testing.T) {
+	db := New(ModeOracle9)
+	if _, err := db.CreateObjectType("Type_G", []AttrDef{{Name: "g", Type: NumberType{}}}); err != nil {
+		t.Fatal(err)
+	}
+	tab, err := db.CreateTable(TableSpec{Name: "TabG", OfType: "Type_G"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tab.CreateIndex("IX_TabG_g", "g"); err != nil {
+		t.Fatal(err)
+	}
+	tx, err := db.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		defer close(done)
+		var oids []OID
+		for i := 0; i < 1500; i++ {
+			oid, err := tab.Insert([]Value{Num(i % 3)})
+			if err != nil {
+				t.Errorf("insert: %v", err)
+				return
+			}
+			if oids = append(oids, oid); i%3 == 2 {
+				_, row, err := db.DerefRow(Ref{Table: "TabG", OID: oids[len(oids)-2]})
+				if err == nil {
+					_, err = tab.DeleteRows([]*Row{row})
+				}
+				if err != nil {
+					t.Errorf("delete: %v", err)
+					return
+				}
+			}
+		}
+	}()
+	for r := 0; r < 4; r++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				rows, ok := tab.ProbeEqual("g", Num(g))
+				if !ok {
+					t.Error("probe refused")
+					return
+				}
+				var last uint64
+				for _, row := range rows {
+					if row.key <= last || row.Vals[0] != Num(g) {
+						t.Errorf("probe g = %d returned key %d (g = %v) after %d", g, row.key, row.Vals[0], last)
+						return
+					}
+					last = row.key
+				}
+			}
+		}(r % 3)
+	}
+	wg.Wait()
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	for g, want := range []int{500, 0, 500} {
+		if rows, _ := tab.ProbeEqual("g", Num(g)); len(rows) != want {
+			t.Errorf("g = %d: %d rows, want %d", g, len(rows), want)
+		}
+	}
+}
+
 // TestConcurrentObjectTableOIDs verifies OID uniqueness under parallel
 // inserts.
 func TestConcurrentObjectTableOIDs(t *testing.T) {

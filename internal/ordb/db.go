@@ -33,10 +33,8 @@ type DB struct {
 	tableOrder []string
 	viewOrder  []string
 	nextOID    OID
-	// epoch counts full publishes; index trie nodes stamped with the
-	// current epoch are private to the live side (pmap.go).
-	epoch uint64
-	// edits issues the tables' trie edit tokens (Table.edit).
+	// edits issues the tables' edit tokens (Table.edit), which govern
+	// their row and index tries alike.
 	edits atomic.Uint64
 	// verDirty records a mutation since the last publish.
 	verDirty bool

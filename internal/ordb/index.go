@@ -2,7 +2,8 @@ package ordb
 
 import (
 	"fmt"
-	"sort"
+	"math"
+	"slices"
 	"strings"
 	"time"
 )
@@ -10,64 +11,97 @@ import (
 // Secondary equality indexes. Every object table already finds a row by
 // OID in its row trie, which makes FetchByOID/Deref cheap; the
 // structures here extend the same idea to scalar columns so that
-// equi-joins and WHERE col = const probe a persistent hash instead of
-// rebuilding one per query. Indexes are created explicitly with CREATE
-// INDEX and automatically on PRIMARY KEY, REF and ID-named columns, and
-// are maintained incrementally by every row mutation — including the undo
-// paths of the transaction layer, so a rollback leaves probes exactly as
-// they were before the operation.
+// equi-joins and WHERE col = const probe a persistent ordered map instead
+// of rebuilding a hash per query. Indexes are created explicitly with
+// CREATE INDEX and automatically on PRIMARY KEY, REF and ID-named
+// columns, and are maintained incrementally by every row mutation —
+// including the undo paths of the transaction layer, so a rollback leaves
+// probes exactly as they were before the operation.
+//
+// An index is a row trie (rowtrie.go) holding one entry per indexed row,
+// under the equality key of the row's value followed by the row's key.
+// The rows whose value equals v are exactly the entries whose keys start
+// with v's equality key, so a probe walks that prefix and returns them in
+// row-key order, the order a scan visits them in. A removal touches one
+// path. The table's edit token governs its index tries as it governs its
+// row trie.
 
-// indexKey is the normalized, comparable hash key of one indexed value.
-// Normalization mirrors SQL `=` semantics as the evaluator implements
-// them: CHAR blank padding is insignificant for character values, and
-// numbers compare by value. NULLs are never indexed (NULL never equals
-// anything under three-valued logic).
-type indexKey struct {
-	kind byte // 's' string, 'n' number, 'd' date, 'r' ref
-	num  float64
-	str  string
-}
+// The kinds of equality key: a key's first digit.
+const (
+	keyStr = 1 + iota
+	keyNum
+	keyDate
+	keyRef
+)
 
-// makeIndexKey normalizes v into a probe key. The second result is false
-// for NULLs and non-scalar values, which are not indexed.
-func makeIndexKey(v Value) (indexKey, bool) {
+// AppendEqualKey appends the equality key of v to dst: an order-preserving
+// digit string (bytes below 64) such that two values are equal under SQL
+// `=` exactly when their keys are, and no key is a prefix of another. It
+// reports false, appending nothing, for NULL (which equals nothing) and
+// for objects and collections. The key is the value's kind, then
+//
+//   - a string without its trailing blanks (CHAR padding is insignificant),
+//     each byte spread over two digits with the first raised by one, and a
+//     0 digit ending it, which sorts before every byte;
+//   - a number's float64 bits, sign flipped for ordering (all bits of a
+//     negative), with -0 taken as +0;
+//   - a DATE's instant in Unix nanoseconds, whatever its location;
+//   - a REF's table name as a string, then its OID.
+//
+// Fixed-width parts are 11 digits (appendDigits).
+func AppendEqualKey(dst []byte, v Value) ([]byte, bool) {
 	switch x := v.(type) {
 	case Str:
-		return indexKey{kind: 's', str: strings.TrimRight(string(x), " ")}, true
+		return appendString(append(dst, keyStr), strings.TrimRight(string(x), " ")), true
 	case Num:
-		return indexKey{kind: 'n', num: float64(x)}, true
+		f := float64(x)
+		if f == 0 {
+			f = 0 // -0 is +0
+		}
+		b := math.Float64bits(f)
+		if b>>63 != 0 {
+			b = ^b
+		} else {
+			b |= 1 << 63
+		}
+		return appendDigits(append(dst, keyNum), b), true
 	case DateVal:
-		return indexKey{kind: 'd', num: float64(time.Time(x).UnixNano())}, true
+		return appendDigits(append(dst, keyDate), uint64(time.Time(x).UnixNano())^1<<63), true
 	case Ref:
-		return indexKey{kind: 'r', num: float64(x.OID), str: x.Table}, true
+		return appendDigits(appendString(append(dst, keyRef), x.Table), uint64(x.OID)^1<<63), true
 	default:
-		return indexKey{}, false
+		return dst, false
 	}
+}
+
+// appendString appends s two digits a byte and a 0 digit.
+func appendString(dst []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		dst = append(dst, 1+s[i]>>6, s[i]&63)
+	}
+	return append(dst, 0)
 }
 
 // Index is a persistent equality index over one scalar column.
 //
 // An index may be registered but not yet materialized (built == false).
 // Unmaterialized indexes cost nothing on the write path — insert-heavy
-// loads skip them entirely — and the first probe builds the hash under
-// the write lock, after which it is maintained incrementally. That is
-// still strictly better than the per-query hash builds it replaces: the
-// build happens once per index lifetime, not once per query.
-//
-// The key→bucket table is a persistent trie (pmap.go) so published MVCC
-// versions capture it by struct copy. Buckets obey the shared-array
-// discipline of version.go: appends are safe (they write at or beyond
-// every published bucket length), removal always copies the bucket.
-// Buckets are kept in row-key order, which is the order a scan visits
-// the rows in (see bucketAdd), so a probe and a filter scan return the
-// same rows in the same order.
+// loads skip them entirely — and the first probe builds the trie under
+// the write lock, after which it is maintained incrementally. The build
+// happens once per index lifetime, not once per query. Published MVCC
+// versions capture the trie by struct copy.
 type Index struct {
 	Name string
 	Col  string
 
 	colIdx int
 	built  bool
-	rows   pmap[indexKey, []*Row]
+	rows   rowTrie
+}
+
+// newIndex returns an unmaterialized index over column colIdx.
+func newIndex(name, col string, colIdx int) *Index {
+	return &Index{Name: name, Col: col, colIdx: colIdx, rows: rowTrie{ixCol: colIdx + 1}}
 }
 
 // indexableType reports whether a column of type t can carry an equality
@@ -128,7 +162,7 @@ func (t *Table) CreateIndex(name, col string) (*Index, error) {
 			}
 		}
 	}
-	ix := &Index{Name: name, Col: t.Cols[ci].Name, colIdx: ci}
+	ix := newIndex(name, t.Cols[ci].Name, ci)
 	ix.materializeLocked(t)
 	if replaced >= 0 {
 		t.indexes = withoutIndex(t.indexes, replaced)
@@ -142,30 +176,12 @@ func (t *Table) CreateIndex(name, col string) (*Index, error) {
 // materializeLocked builds the index trie from the table's current rows.
 // Callers hold db.mu (write), or own the table exclusively.
 func (ix *Index) materializeLocked(t *Table) {
-	ix.rows = newPmap[indexKey, []*Row](hashIndexKey)
+	edit := t.edit.Load()
 	t.trie.each(func(r *Row) bool {
-		if k, ok := makeIndexKey(r.Vals[ix.colIdx]); ok {
-			ix.add(t.db.epoch, k, r)
-		}
+		ix.rows = ix.rows.set(edit, r)
 		return true
 	})
 	ix.built = true
-}
-
-// add puts r into key k's bucket.
-func (ix *Index) add(epoch uint64, k indexKey, r *Row) {
-	bucket, _ := ix.rows.get(k)
-	ix.rows = ix.rows.set(epoch, k, bucketAdd(bucket, r))
-}
-
-// remove takes r out of key k's bucket, dropping the key with its last row.
-func (ix *Index) remove(epoch uint64, k indexKey, r *Row) {
-	bucket, _ := ix.rows.get(k)
-	if bucket = bucketRemove(bucket, r); len(bucket) > 0 {
-		ix.rows = ix.rows.set(epoch, k, bucket)
-	} else {
-		ix.rows = ix.rows.del(epoch, k)
-	}
 }
 
 // DropIndex removes the named index from whichever table carries it.
@@ -253,7 +269,8 @@ func (t *Table) ProbeEqual(col string, v Value) ([]*Row, bool) {
 		t.db.stats.IndexProbes.Add(1)
 		return nil, true
 	}
-	k, ok := makeIndexKey(v)
+	var buf [keyBuf]byte
+	p, ok := AppendEqualKey(buf[:0], v)
 	if !ok {
 		return nil, false
 	}
@@ -269,12 +286,12 @@ func (t *Table) ProbeEqual(col string, v Value) ([]*Row, bool) {
 			}
 			return nil, false
 		}
-		rows, _ = ix.rows.get(k)
+		rows, _ = ix.rows.withPrefix(p)
 	} else {
 		t.db.mu.RLock()
 		built := ix.built
 		if built {
-			rows, _ = ix.rows.get(k)
+			rows = ix.liveProbeLocked(t, p)
 		}
 		t.db.mu.RUnlock()
 		if !built {
@@ -286,7 +303,7 @@ func (t *Table) ProbeEqual(col string, v Value) ([]*Row, bool) {
 				t.markDirtyLocked()
 				t.db.maybePublishLocked()
 			}
-			rows, _ = ix.rows.get(k)
+			rows = ix.liveProbeLocked(t, p)
 			t.db.mu.Unlock()
 		}
 	}
@@ -295,6 +312,18 @@ func (t *Table) ProbeEqual(col string, v Value) ([]*Row, bool) {
 	// rows-read metric stays comparable between probe and scan plans.
 	t.db.stats.RowsScanned.Add(int64(len(rows)))
 	return rows, true
+}
+
+// liveProbeLocked returns the rows whose keys start with p for reading
+// outside the lock: a result sharing the slots of a node that may still
+// change in place under the table's edit token is copied (nodes made
+// under an older token never change). Callers hold db.mu.
+func (ix *Index) liveProbeLocked(t *Table, p []byte) []*Row {
+	rows, stamp := ix.rows.withPrefix(p)
+	if stamp != 0 && stamp == t.edit.Load() {
+		return slices.Clone(rows)
+	}
+	return rows
 }
 
 // ensureIndexBuilt materializes the named column's index on the live
@@ -330,71 +359,34 @@ func (t *Table) pkCandidatesLocked(vals []Value) ([]*Row, bool) {
 		if ix.colIdx != pi || !ix.built {
 			continue
 		}
-		k, ok := makeIndexKey(vals[pi])
+		var buf [keyBuf]byte
+		p, ok := AppendEqualKey(buf[:0], vals[pi])
 		if !ok {
 			return nil, false
 		}
 		t.db.stats.IndexProbes.Add(1)
-		bucket, _ := ix.rows.get(k)
-		return bucket, true
+		rows, _ := ix.rows.withPrefix(p)
+		return rows, true
 	}
 	return nil, false
 }
 
-// indexInsertLocked adds a row to every secondary index. Callers hold
-// db.mu (write).
+// indexInsertLocked adds a row to every built secondary index. Callers
+// hold db.mu (write).
 func (t *Table) indexInsertLocked(r *Row) {
 	for _, ix := range t.indexes {
-		if !ix.built {
-			continue
-		}
-		if k, ok := makeIndexKey(r.Vals[ix.colIdx]); ok {
-			ix.add(t.db.epoch, k, r)
+		if ix.built {
+			ix.rows = ix.rows.set(t.edit.Load(), r)
 		}
 	}
 }
 
-// bucketAdd returns bucket with r added, keeping buckets in row-key
-// order — insertion order, and so the order a scan visits the rows in. A
-// row newer than every row in the bucket (always so for a plain insert)
-// is appended, which is safe against published versions: the write lands
-// at an offset no published bucket header reaches. An older row —
-// re-added by an undo or a replace — is copy-inserted at its place in a
-// fresh backing array.
-func bucketAdd(bucket []*Row, r *Row) []*Row {
-	n := len(bucket)
-	if n == 0 || bucket[n-1].key <= r.key {
-		return append(bucket, r)
-	}
-	i := sort.Search(n, func(i int) bool { return bucket[i].key > r.key })
-	out := make([]*Row, 0, n+1)
-	out = append(out, bucket[:i]...)
-	out = append(out, r)
-	return append(out, bucket[i:]...)
-}
-
-// bucketRemove returns bucket without r, always copying to a fresh
-// backing array: an in-place shift would overwrite a slot a published
-// version's bucket header still reads.
-func bucketRemove(bucket []*Row, r *Row) []*Row {
-	out := make([]*Row, 0, len(bucket))
-	for _, br := range bucket {
-		if br != r {
-			out = append(out, br)
-		}
-	}
-	return out
-}
-
-// indexRemoveLocked removes a row from every secondary index by
-// identity. Callers hold db.mu (write).
+// indexRemoveLocked removes a row from every built secondary index.
+// Callers hold db.mu (write).
 func (t *Table) indexRemoveLocked(r *Row) {
 	for _, ix := range t.indexes {
-		if !ix.built {
-			continue
-		}
-		if k, ok := makeIndexKey(r.Vals[ix.colIdx]); ok {
-			ix.remove(t.db.epoch, k, r)
+		if ix.built {
+			ix.rows = ix.rows.del(t.edit.Load(), r)
 		}
 	}
 }
@@ -433,11 +425,8 @@ func (t *Table) createAutoIndexes() {
 		if !autoIndexColumn(c) {
 			continue
 		}
-		ix := &Index{Name: autoIndexName(t.Name, c.Name), Col: c.Name, colIdx: i}
-		if (len(t.pkCols) == 1 && t.pkCols[0] == i) || c.Type.Kind() == KindRef {
-			ix.rows = newPmap[indexKey, []*Row](hashIndexKey)
-			ix.built = true
-		}
+		ix := newIndex(autoIndexName(t.Name, c.Name), c.Name, i)
+		ix.built = (len(t.pkCols) == 1 && t.pkCols[0] == i) || c.Type.Kind() == KindRef
 		t.indexes = append(t.indexes, ix)
 	}
 }

@@ -318,8 +318,8 @@ func (t *Table) checkRow(vals []Value, nullKey error, unique bool) error {
 		t.db.mu.RLock()
 		dup := false
 		if cand, ok := t.pkCandidatesLocked(vals); ok {
-			// Single-column key with an index: probe the bucket instead of
-			// scanning the table. Bucket keys are normalized, so candidates
+			// Single-column key with an index: probe it instead of
+			// scanning the table. Index keys are normalized, so candidates
 			// are a superset of exact matches; DeepEqual decides.
 			pi := t.pkCols[0]
 			for _, r := range cand {
@@ -426,7 +426,7 @@ func (t *Table) Scan(fn func(*Row) bool) {
 type Cursor struct {
 	t    *Table
 	trie rowTrie
-	leaf []*Row // the current leaf's rows not yet pulled
+	leaf []*Row // the current run's rows not yet pulled
 	n    int
 }
 
@@ -436,7 +436,7 @@ func (t *Table) Cursor() *Cursor {
 	t.db.rlock()
 	defer t.db.runlock()
 	tr := t.captureLocked()
-	return &Cursor{t: t, trie: tr, leaf: tr.leafFrom(0)}
+	return &Cursor{t: t, trie: tr, leaf: tr.after(nil)}
 }
 
 // Next returns the next row, or (nil, false) when exhausted.
@@ -446,7 +446,7 @@ func (c *Cursor) Next() (*Row, bool) {
 	}
 	r := c.leaf[0]
 	if c.leaf = c.leaf[1:]; len(c.leaf) == 0 {
-		c.leaf = c.trie.leafFrom(r.key + 1)
+		c.leaf = c.trie.next(r)
 	}
 	c.n++
 	return r, true
@@ -518,7 +518,7 @@ func (t *Table) deleteRows(rows []*Row) int {
 		if t.trie.get(r.key) != r {
 			continue // gone since it was found, or listed twice
 		}
-		t.trie = t.trie.del(t.edit.Load(), r.key)
+		t.trie = t.trie.del(t.edit.Load(), r)
 		t.indexRemoveLocked(r)
 		t.maxLeaveLocked(r.Vals)
 		removed = append(removed, r)

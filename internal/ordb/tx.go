@@ -104,7 +104,7 @@ type undoInsert struct {
 }
 
 func (u undoInsert) revert() {
-	u.t.trie = u.t.trie.del(u.t.edit.Load(), u.row.key)
+	u.t.trie = u.t.trie.del(u.t.edit.Load(), u.row)
 	u.t.indexRemoveLocked(u.row)
 	u.t.maxLeaveLocked(u.row.Vals)
 }

@@ -21,16 +21,16 @@ import (
 //     shallow-cloned per publish. Tables that saw no mutation since the
 //     previous publish reuse their previous frozen copy outright.
 //   - A table's rows live in one persistent radix trie keyed by OID or
-//     insert sequence (rowtrie.go), which also answers REF dereference.
-//     Capturing it is a struct copy; live-side updates path-copy, except
-//     nodes stamped with the table's edit token, which no version holds
-//     and which are changed in place. Freezing a table renews its token,
-//     and so does a live Scan or Cursor, which reads its capture outside
-//     the lock (Table.captureLocked).
-//   - Every secondary index is a persistent hash trie (pmap.go) updated
-//     in place under the publish epoch by the same rule. Index buckets
-//     are append-only — removal always copies the bucket, never shifts
-//     it in place.
+//     insert sequence (rowtrie.go), which also answers REF dereference,
+//     and each built secondary index is a trie of the same type keyed by
+//     value, then row (index.go). Capturing one is a struct copy;
+//     live-side updates path-copy, except nodes stamped with the table's
+//     edit token, which no version holds and which are changed in place.
+//     One token governs a table's row trie and all its index tries.
+//     Freezing a table renews it, and so does a live Scan or Cursor,
+//     which reads its capture outside the lock (Table.captureLocked); a
+//     live index probe instead copies a result that shares a node stamped
+//     with the current token (Index.liveProbeLocked).
 //   - Stored rows are immutable: an update stores a fresh Row under the
 //     same key, leaving the old one intact for concurrent readers.
 //
@@ -218,7 +218,6 @@ func (db *DB) publishLocked(lsn uint64) {
 		v.tables[k] = t.freezeLocked(v)
 	}
 	db.verDirty = false
-	db.epoch++
 	db.published.Store(v)
 }
 

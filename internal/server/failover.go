@@ -112,6 +112,8 @@ func (s *Server) savePeers() {
 	if path == "" {
 		return
 	}
+	s.peersMu.Lock()
+	defer s.peersMu.Unlock()
 	s.mu.Lock()
 	pf := peersFile{Primary: s.knownPrimary, Members: make([]string, 0, len(s.members))}
 	for a := range s.members {

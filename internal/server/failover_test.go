@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -45,6 +46,28 @@ func positionOf(t *testing.T, addr string) (repl.PeerPosition, []string, error) 
 	}
 	return repl.PeerPosition{Addr: addr, Role: resp.Role, Epoch: resp.Epoch,
 		Durable: resp.LSN, Primary: resp.Primary}, resp.Peers, nil
+}
+
+// Replicas that join at once each save PEERS from their own handshake
+// goroutine. The file must end up naming every member: a revived
+// ex-primary finds the new primary only among the members it loads.
+func TestPeersSavedConcurrentlyKeepEveryMember(t *testing.T) {
+	dir := t.TempDir()
+	srv := New(Config{SnapshotDir: dir})
+	var wg sync.WaitGroup
+	for i := 0; i < 16; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			srv.addMember(fmt.Sprintf("127.0.0.1:%d", 9000+i))
+		}()
+	}
+	wg.Wait()
+	loaded := New(Config{SnapshotDir: dir})
+	loaded.loadPeers()
+	if got := loaded.memberList(); len(got) != 16 {
+		t.Fatalf("PEERS holds %d of 16 members: %v", len(got), got)
+	}
 }
 
 // The tentpole scenario, in-process: the primary dies, the replicas

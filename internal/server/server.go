@@ -305,6 +305,10 @@ type Server struct {
 	members      map[string]struct{}
 	leaseAt      time.Time
 	retargeting  bool
+	// peersMu serializes PEERS writes: each save snapshots the members
+	// and writes the shared temp file under it, so saves land in order
+	// and the last one holds the newest membership.
+	peersMu sync.Mutex
 
 	// roleMu serializes role transitions — start/stop of the replication
 	// runtime, Promote, demote, retarget. Never held on request paths.

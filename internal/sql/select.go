@@ -283,19 +283,28 @@ func flattenAnd(e Expr) []Expr {
 // elements.
 var columnValueCols = []string{"COLUMN_VALUE"}
 
-// joinKey normalizes a value for hash probing.
+// joinKey is v's key in the per-execution hash join: SQL `=`'s one
+// normalisation (appendJoinKey). NULL has none: it never joins.
 func joinKey(v ordb.Value) (string, bool) {
+	var buf [64]byte
+	k, ok := appendJoinKey(buf[:0], v)
+	return string(k), ok
+}
+
+// appendJoinKey appends v's part of a hash-join or GROUP BY key, or
+// reports false for NULL. Scalars and REFs take their equality key
+// (ordb.AppendEqualKey), so values equal under `=` share a key: CHAR
+// padding, -0 and a DATE's location do not split them. Objects and
+// collections take their SQL text, marked apart from the scalar kinds.
+// Every part delimits itself, so parts concatenate without a separator.
+func appendJoinKey(dst []byte, v ordb.Value) ([]byte, bool) {
 	if ordb.IsNull(v) {
-		return "", false // NULL never joins
+		return dst, false
 	}
-	switch x := v.(type) {
-	case ordb.Str:
-		return "s:" + strings.TrimRight(string(x), " "), true
-	case ordb.Num:
-		return "n:" + x.SQL(), true
-	default:
-		return "o:" + v.SQL(), true
+	if k, ok := ordb.AppendEqualKey(dst, v); ok {
+		return k, true
 	}
+	return ordb.AppendEqualKey(append(dst, 'o'), ordb.Str(v.SQL()))
 }
 
 // build constructs the per-execution fallback hash over keyCol. Used

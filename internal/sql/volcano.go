@@ -186,16 +186,18 @@ func buildGrouped(bp *boundSelect, st *execState, child exec.Node) exec.Node {
 		Child: child,
 		Keys:  (*groupText)(bp),
 		Key: func() (string, error) {
-			var keyParts []string
+			var key []byte
 			for _, g := range bp.groupBy {
 				v, err := g.eval(st)
 				if err != nil {
 					return "", err
 				}
-				k, _ := joinKey(v)
-				keyParts = append(keyParts, k)
+				var ok bool
+				if key, ok = appendJoinKey(key, v); !ok {
+					key = append(key, 'N') // NULLs group together
+				}
 			}
-			return strings.Join(keyParts, "\x00"), nil
+			return string(key), nil
 		},
 		NewGroup: func() (any, error) {
 			grp := &groupState{rep: make([]ordb.Value, len(bp.items))}
