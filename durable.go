@@ -138,8 +138,9 @@ var _ ordb.TxObserver = (*walState)(nil)
 // is open (flushed by TxCommitted, before the commit publishes) — always
 // the case for document loads and deletes, which log from inside their
 // own transaction — appended and synced as its own commit unit otherwise
-// (an autocommitted SQL statement). Store writers are serialized by
-// contract, so the open-transaction check cannot race a commit.
+// (an autocommitted SQL statement, which Store.Exec publishes after this
+// returns). Store writers are serialized by contract, so the
+// open-transaction check cannot race a commit.
 func (w *walState) record(kind byte, payload any) error {
 	if w.applying {
 		return nil // replicated record: already appended to the local log
@@ -155,13 +156,8 @@ func (w *walState) record(kind byte, payload any) error {
 		w.mu.Unlock()
 		return nil
 	}
-	if _, err := w.log.AppendBatch([]wal.Entry{e}); err != nil {
-		return err
-	}
-	// The engine published this autocommitted change before its record
-	// existed; re-stamp the version so its LSN covers the record.
-	w.db.Republish()
-	return nil
+	_, err := w.log.AppendBatch([]wal.Entry{e})
+	return err
 }
 
 // TxCommitted appends the transaction's buffered records as one commit
@@ -456,8 +452,8 @@ func (s *Store) Checkpoint() error {
 	// Serialize the published MVCC version rather than the live store:
 	// the snapshot is consistent at the version's LSN by construction
 	// and its writing takes no engine lock. Under the caller's writer
-	// exclusion the version covers the log's full history (Republish
-	// runs after every autocommit append and Commit publishes after the
+	// exclusion the version covers the log's full history (Exec publishes
+	// an autocommitted statement after its append, Commit after the
 	// observer), so this equals the log's last LSN.
 	rv := s.ReadView()
 	lsn := rv.VersionLSN()
@@ -537,8 +533,8 @@ func (s *Store) applyWALRecord(rec wal.Record) error {
 }
 
 // walLogLoad and walLogDelete are called by LoadPrepared/DeleteDocument
-// as the last step inside the operation's transaction, walLogSQL by Exec
-// after the statement succeeded. Each is a no-op on in-memory stores.
+// as the last step inside the operation's transaction. Each is a no-op on
+// in-memory stores.
 
 func (s *Store) walLogLoad(doc *xmldom.Document, docName, xmlText string, docID int) error {
 	w := s.wal.Load()
@@ -561,17 +557,6 @@ func (s *Store) walLogDelete(docID int) error {
 	}
 	if err := w.record(RecDelete, walDeletePayload{DocID: docID}); err != nil {
 		return fmt.Errorf("xmlordb: logging delete of document %d: %w", docID, err)
-	}
-	return nil
-}
-
-func (s *Store) walLogSQL(sqlText string) error {
-	w := s.wal.Load()
-	if w == nil || !walWorthySQL(sqlText) {
-		return nil
-	}
-	if err := w.record(RecSQL, walSQLPayload{SQL: sqlText}); err != nil {
-		return fmt.Errorf("xmlordb: statement executed but not logged: %w", err)
 	}
 	return nil
 }

@@ -212,9 +212,10 @@ func (l *Loader) LoadPrepared(doc *xmldom.Document, docName string, p *Prepared)
 // allocDocID returns the next DocID: one more than the highest DocID
 // stored — in TabMetadata when the meta-database is on (its DocID column
 // is the primary key all schemas sharing the engine draw from), in the
-// root table otherwise. The engine keeps that maximum as a cache over the
-// rows (ordb.Table.MaxInt), so the answer costs no scan, yet it depends
-// on stored state alone, never on loader memory: WAL replay and replicas
+// root table otherwise. The engine reads that maximum off the column's
+// ordered index (ordb.Table.MaxInt), so the answer costs no scan, even
+// right after the newest document was deleted, yet it depends on stored
+// state alone, never on loader memory: WAL replay and replicas
 // rebuild a store from a snapshot plus the log and must re-derive exactly
 // the DocIDs the log recorded, and no snapshot carries a counter. The ID
 // of the newest document is therefore handed out again once that document

@@ -2,6 +2,8 @@ package ordb
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -24,20 +26,28 @@ type DB struct {
 	// published is the most recent frozen version (live DB only).
 	published atomic.Pointer[DB]
 
-	mu     sync.RWMutex
-	types  map[string]Type // key: upper-cased name
-	tables map[string]*Table
-	views  map[string]*View
-	// typeOrder and tableOrder preserve creation order for listings.
+	mu sync.RWMutex
+	// The catalog: types, tables and views by upper-cased name, and their
+	// creation order for listings. A version shares the types and views
+	// maps and the order slices, so they never change once published:
+	// the first DDL after a publish copies the maps (editCatalogLocked),
+	// and the slices are only appended to (removeString copies). tables
+	// holds the live tables on a live DB, their frozen copies on a version.
+	types      map[string]Type
+	tables     map[string]*Table
+	views      map[string]*View
 	typeOrder  []string
 	tableOrder []string
 	viewOrder  []string
-	nextOID    OID
+	// catGen counts the catalog copies: a version with the live DB's
+	// catGen shares its catalog.
+	catGen  uint64
+	nextOID OID
 	// edits issues the tables' edit tokens (Table.edit), which govern
 	// their row and index tries alike.
 	edits atomic.Uint64
-	// verDirty records a mutation since the last publish.
-	verDirty bool
+	// dirty lists the tables mutated since the last publish.
+	dirty []*Table
 	// pubSuspended holds back publication while a multi-operation apply
 	// (a replicated commit unit) is in flight, so readers never see a
 	// half-applied unit stamped as current.
@@ -94,8 +104,14 @@ func New(mode Mode) *DB {
 		stats:  &Stats{},
 	}
 	// Publish an initial (empty) version so Reader never comes up empty.
-	db.verDirty = true
-	db.publishLocked(0)
+	db.published.Store(&DB{
+		mode:   mode,
+		frozen: true,
+		stats:  db.stats,
+		types:  db.types,
+		views:  db.views,
+		tables: map[string]*Table{},
+	})
 	return db
 }
 
@@ -154,6 +170,16 @@ func lookup[V any](m map[string]V, name string) (V, bool) {
 // are at most MaxIdentLen bytes; longer names go through key.
 const foldBuf = 64
 
+// editCatalogLocked readies the catalog for DDL: when the published
+// version shares its maps, the live DB takes copies. Callers hold db.mu
+// (write).
+func (db *DB) editCatalogLocked() {
+	if db.published.Load().catGen == db.catGen {
+		db.types, db.views = maps.Clone(db.types), maps.Clone(db.views)
+		db.catGen++
+	}
+}
+
 func checkIdent(name string) error {
 	if name == "" {
 		return fmt.Errorf("ordb: empty identifier")
@@ -184,10 +210,7 @@ func (db *DB) DeclareType(name string) (*ObjectType, error) {
 		return nil, fmt.Errorf("ordb: type %q: %w", name, ErrExists)
 	}
 	ot := &ObjectType{Name: name, Incomplete: true}
-	db.types[key(name)] = ot
-	db.typeOrder = append(db.typeOrder, key(name))
-	db.verDirty = true
-	db.maybePublishLocked()
+	db.addTypeLocked(name, ot)
 	return ot, nil
 }
 
@@ -221,15 +244,10 @@ func (db *DB) CreateObjectType(name string, attrs []AttrDef) (*ObjectType, error
 		// runs at store-open time, before concurrent readers exist.
 		ot.Attrs = attrs
 		ot.Incomplete = false
-		db.verDirty = true
-		db.maybePublishLocked()
 		return ot, nil
 	}
 	ot := &ObjectType{Name: name, Attrs: attrs}
-	db.types[key(name)] = ot
-	db.typeOrder = append(db.typeOrder, key(name))
-	db.verDirty = true
-	db.maybePublishLocked()
+	db.addTypeLocked(name, ot)
 	return ot, nil
 }
 
@@ -254,10 +272,7 @@ func (db *DB) CreateVarrayType(name string, max int, elem Type) (*VarrayType, er
 		return nil, fmt.Errorf("ordb: type %q: %w", name, ErrExists)
 	}
 	vt := &VarrayType{Name: name, Max: max, Elem: elem}
-	db.types[key(name)] = vt
-	db.typeOrder = append(db.typeOrder, key(name))
-	db.verDirty = true
-	db.maybePublishLocked()
+	db.addTypeLocked(name, vt)
 	return vt, nil
 }
 
@@ -278,11 +293,17 @@ func (db *DB) CreateNestedTableType(name string, elem Type) (*NestedTableType, e
 		return nil, fmt.Errorf("ordb: type %q: %w", name, ErrExists)
 	}
 	nt := &NestedTableType{Name: name, Elem: elem}
-	db.types[key(name)] = nt
-	db.typeOrder = append(db.typeOrder, key(name))
-	db.verDirty = true
-	db.maybePublishLocked()
+	db.addTypeLocked(name, nt)
 	return nt, nil
+}
+
+// addTypeLocked adds a new type to the catalog and publishes. Callers
+// hold db.mu (write).
+func (db *DB) addTypeLocked(name string, t Type) {
+	db.editCatalogLocked()
+	db.types[key(name)] = t
+	db.typeOrder = append(db.typeOrder, key(name))
+	db.maybePublishLocked()
 }
 
 // checkCollectionElem enforces the mode-dependent element restriction:
@@ -395,8 +416,8 @@ func (db *DB) DropType(name string, force bool) error {
 	if len(deps) > 0 && !force {
 		return fmt.Errorf("ordb: type %q has dependents %v: %w", name, deps, ErrDependentTypes)
 	}
+	db.editCatalogLocked()
 	db.dropTypeCascadeLocked(k)
-	db.verDirty = true
 	db.maybePublishLocked()
 	return nil
 }
@@ -443,7 +464,7 @@ func (db *DB) dropTypeCascadeLocked(k string) {
 	delete(db.types, k)
 	db.typeOrder = removeString(db.typeOrder, k)
 	// Drop dependents transitively.
-	for _, tk := range append([]string(nil), db.typeOrder...) {
+	for _, tk := range db.typeOrder {
 		t, ok := db.types[tk]
 		if !ok {
 			continue
@@ -455,7 +476,7 @@ func (db *DB) dropTypeCascadeLocked(k string) {
 			}
 		}
 	}
-	for _, tn := range append([]string(nil), db.tableOrder...) {
+	for _, tn := range db.tableOrder {
 		tbl := db.tables[tn]
 		if tbl == nil {
 			continue
@@ -477,14 +498,10 @@ func (db *DB) dropTypeCascadeLocked(k string) {
 	}
 }
 
+// removeString returns ss without s, in a fresh backing array: a
+// published version may share the old one.
 func removeString(ss []string, s string) []string {
-	out := ss[:0]
-	for _, x := range ss {
-		if x != s {
-			out = append(out, x)
-		}
-	}
-	return out
+	return slices.DeleteFunc(slices.Clone(ss), func(x string) bool { return x == s })
 }
 
 // Table looks up a table by name.
@@ -520,9 +537,9 @@ func (db *DB) DropTable(name string) error {
 	if _, ok := db.tables[k]; !ok {
 		return fmt.Errorf("ordb: table %q: %w", name, ErrNotFound)
 	}
+	db.editCatalogLocked()
 	delete(db.tables, k)
 	db.tableOrder = removeString(db.tableOrder, k)
-	db.verDirty = true
 	db.maybePublishLocked()
 	return nil
 }
@@ -541,6 +558,7 @@ func (db *DB) registerTable(t *Table) error {
 	if _, ok := db.views[k]; ok {
 		return fmt.Errorf("ordb: view %q: %w", t.Name, ErrExists)
 	}
+	db.editCatalogLocked()
 	db.tables[k] = t
 	db.tableOrder = append(db.tableOrder, k)
 	t.markDirtyLocked()

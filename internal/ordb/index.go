@@ -328,10 +328,11 @@ func (ix *Index) liveProbeLocked(t *Table, p []byte) []*Row {
 
 // ensureIndexBuilt materializes the named column's index on the live
 // table (and publishes the result), so frozen versions taken from now on
-// carry it. No-op when the index is already built or unknown.
-func (t *Table) ensureIndexBuilt(col string) {
+// carry it, and reports whether the column has an index. No-op, reporting
+// false, on a frozen table.
+func (t *Table) ensureIndexBuilt(col string) bool {
 	if t.db.frozen {
-		return
+		return false
 	}
 	t.db.mu.Lock()
 	defer t.db.mu.Unlock()
@@ -342,9 +343,56 @@ func (t *Table) ensureIndexBuilt(col string) {
 				t.markDirtyLocked()
 				t.db.maybePublishLocked()
 			}
-			return
+			return true
 		}
 	}
+	return false
+}
+
+// MaxInt returns the highest positive integer stored in column col (by
+// position), counting a number by its integer part and anything else as
+// 0, and 0 when there is none: the value a key allocator adds one to. It
+// reads the last entry of the column's index, which holds the greatest
+// value, and visits no row; a lazily registered index is built first. A
+// column without an index, or whose index a published version never saw
+// built, is scanned once (charged to RowsScanned).
+func (t *Table) MaxInt(col int) int {
+	n, indexed := t.indexedMax(col)
+	if !indexed {
+		if t.live != nil {
+			t.live.ensureIndexBuilt(t.Cols[col].Name) // for later versions
+		} else if t.ensureIndexBuilt(t.Cols[col].Name) {
+			n, indexed = t.indexedMax(col)
+		}
+	}
+	if !indexed {
+		t.Scan(func(r *Row) bool {
+			if v, ok := r.Vals[col].(Num); ok {
+				n = max(n, int(v))
+			}
+			return true
+		})
+	}
+	return n
+}
+
+// indexedMax is MaxInt read from column col's built index; it reports
+// false when the column has none.
+func (t *Table) indexedMax(col int) (int, bool) {
+	t.db.rlock()
+	defer t.db.runlock()
+	for _, ix := range t.indexes {
+		if ix.colIdx != col || !ix.built {
+			continue
+		}
+		if ix.rows.root != nil {
+			if v, ok := ix.rows.root.last().Vals[col].(Num); ok {
+				return max(0, int(v)), true
+			}
+		}
+		return 0, true
+	}
+	return 0, false
 }
 
 // pkCandidatesLocked probes for rows that might collide with vals on a

@@ -308,6 +308,17 @@ func (n *rnode) first() []*Row {
 	}
 }
 
+// last returns the row with the greatest key below n.
+func (n *rnode) last() *Row {
+	for {
+		all := n.kidmap | n.rowmap
+		if bit := uint64(1) << (63 - bits.LeadingZeros64(all)); n.rowmap&bit != 0 {
+			return n.rows[len(n.rows)-1]
+		}
+		n = n.kids[len(n.kids)-1]
+	}
+}
+
 // after returns the first run of rows whose keys sort after key, or nil.
 // Scans step from run to run by asking for the rows after the last row
 // returned.

@@ -71,8 +71,8 @@ type Table struct {
 	edit atomic.Uint64
 	// lastKey is the key of the newest row of a relational table.
 	lastKey uint64
-	// verDirty records a mutation since the table's last frozen capture.
-	verDirty bool
+	// dirty records that the table is listed in DB.dirty.
+	dirty bool
 	// live, set only on frozen copies, points back at the live table (so
 	// a frozen index probe can trigger lazy materialization there).
 	live *Table
@@ -82,8 +82,6 @@ type Table struct {
 	indexes []*Index
 	// colNames caches the column-name slice handed to query scopes.
 	colNames []string
-	// max caches the highest integer of one column (colmax.go).
-	max maxCache
 }
 
 // TableSpec describes a table to create.
@@ -115,7 +113,6 @@ func (db *DB) CreateTable(spec TableSpec) (*Table, error) {
 		Checks:        spec.Checks,
 		NestedStorage: map[string]string{},
 		db:            db,
-		max:           maxCache{valid: true}, // no rows: the maximum is 0
 	}
 	t.edit.Store(db.edits.Add(1))
 	for k, v := range spec.NestedStorage {
@@ -275,7 +272,6 @@ func (t *Table) addLocked(row *Row) {
 	}
 	t.trie = t.trie.set(t.edit.Load(), row)
 	t.indexInsertLocked(row)
-	t.maxEnterLocked(row.Vals)
 	t.markDirtyLocked()
 }
 
@@ -520,7 +516,6 @@ func (t *Table) deleteRows(rows []*Row) int {
 		}
 		t.trie = t.trie.del(t.edit.Load(), r)
 		t.indexRemoveLocked(r)
-		t.maxLeaveLocked(r.Vals)
 		removed = append(removed, r)
 	}
 	if len(removed) == 0 {
@@ -545,7 +540,6 @@ func (t *Table) replaceRowLocked(row *Row, checked []Value) bool {
 	t.trie = t.trie.set(t.edit.Load(), nr)
 	t.indexRemoveLocked(row)
 	t.indexInsertLocked(nr)
-	t.maxReplaceLocked(row.Vals, nr.Vals)
 	t.db.logUndo(undoSwap{t: t, old: row, repl: nr})
 	return true
 }

@@ -106,7 +106,6 @@ type undoInsert struct {
 func (u undoInsert) revert() {
 	u.t.trie = u.t.trie.del(u.t.edit.Load(), u.row)
 	u.t.indexRemoveLocked(u.row)
-	u.t.maxLeaveLocked(u.row.Vals)
 }
 
 // undoDelete puts deleted rows back under their keys.
@@ -119,7 +118,6 @@ func (u undoDelete) revert() {
 	for _, r := range u.removed {
 		u.t.trie = u.t.trie.set(u.t.edit.Load(), r)
 		u.t.indexInsertLocked(r)
-		u.t.maxEnterLocked(r.Vals)
 	}
 }
 
@@ -135,7 +133,6 @@ func (u undoSwap) revert() {
 	u.t.trie = u.t.trie.set(u.t.edit.Load(), u.old)
 	u.t.indexRemoveLocked(u.repl)
 	u.t.indexInsertLocked(u.old)
-	u.t.maxReplaceLocked(u.repl.Vals, u.old.Vals)
 }
 
 // txSave marks a savepoint: a position in the undo log plus the OID

@@ -17,9 +17,13 @@ import (
 //
 // What makes the snapshot cheap:
 //
-//   - Catalog maps are small (one entry per type/table/view) and are
-//     shallow-cloned per publish. Tables that saw no mutation since the
-//     previous publish reuse their previous frozen copy outright.
+//   - A version shares the live catalog's type and view maps and its
+//     listing orders, which therefore never change once published: DDL
+//     edits copies (DB.editCatalogLocked). Only the tables mutated since
+//     the previous publish are captured again, and only they are listed
+//     (DB.dirty); the version's table map is the previous one's with
+//     those entries replaced, and the previous one itself when nothing
+//     changed.
 //   - A table's rows live in one persistent radix trie keyed by OID or
 //     insert sequence (rowtrie.go), which also answers REF dereference,
 //     and each built secondary index is a trie of the same type keyed by
@@ -36,8 +40,10 @@ import (
 //
 // Publication points: the end of every autocommit mutation, Tx.Commit
 // (after the WAL observer ran, so the version's LSN covers the commit
-// unit), Rollback (DDL survives a rollback), and Republish (the
-// durability layer re-stamps the version after appending to the log).
+// unit), Rollback (DDL survives a rollback), ResumePublish (the end of a
+// span the durability layer holds back until its records are logged),
+// and Republish (the durability layer re-stamps the version after
+// attaching a log).
 // While a transaction is open nothing is published, so readers never see
 // a partial document load — they keep the pre-transaction version until
 // Commit swaps in the complete one.
@@ -97,21 +103,7 @@ func (db *DB) Reader() *DB {
 	if db.frozen {
 		return db
 	}
-	if v := db.published.Load(); v != nil {
-		return v
-	}
-	// New() publishes an initial empty version, so this is only
-	// reachable for a DB constructed before a publish could happen;
-	// produce one now if no transaction is open.
-	db.mu.Lock()
-	if db.tx == nil && !db.pubSuspended {
-		db.publishLocked(db.lsnLocked())
-	}
-	db.mu.Unlock()
-	if v := db.published.Load(); v != nil {
-		return v
-	}
-	return db
+	return db.published.Load()
 }
 
 // VersionLSN reports the LSN a frozen version was stamped with; on a
@@ -127,9 +119,9 @@ func (db *DB) VersionLSN() uint64 {
 }
 
 // Republish refreshes the published version from current committed
-// state — the durability layer calls this after appending autocommit
-// records or attaching a WAL, so the version's LSN catches up with the
-// log. No-op while a transaction is open (Commit will publish).
+// state — the durability layer calls this after attaching a WAL, so the
+// version's LSN catches up with the log. No-op while a transaction is
+// open (Commit will publish).
 func (db *DB) Republish() {
 	if db.frozen {
 		return
@@ -146,8 +138,9 @@ func (db *DB) Republish() {
 // version. The replication layer brackets a commit unit's application
 // with Suspend/ResumePublish so a unit of several records becomes
 // visible atomically — and never stamped with the unit's end LSN while
-// only partly applied. Not nested; callers serialize with the store's
-// writer exclusion.
+// only partly applied; an autocommitted statement is bracketed so that
+// it becomes visible only once its record is logged. Not nested;
+// callers serialize with the store's writer exclusion.
 func (db *DB) SuspendPublish() {
 	db.mu.Lock()
 	db.pubSuspended = true
@@ -165,11 +158,13 @@ func (db *DB) ResumePublish() {
 	db.mu.Unlock()
 }
 
-// markDirtyLocked records that t's frozen copy must be rebuilt at the
-// next publish. Callers hold db.mu (write).
+// markDirtyLocked lists t for capture at the next publish. Callers hold
+// db.mu (write).
 func (t *Table) markDirtyLocked() {
-	t.verDirty = true
-	t.db.verDirty = true
+	if !t.dirty {
+		t.dirty = true
+		t.db.dirty = append(t.db.dirty, t)
+	}
 }
 
 // maybePublishLocked publishes a fresh version at the end of an
@@ -183,16 +178,13 @@ func (db *DB) maybePublishLocked() {
 	db.publishLocked(db.lsnLocked())
 }
 
-// publishLocked builds a frozen copy of the current state stamped with
-// lsn and swaps it into published. Callers hold db.mu (write) with no
-// open transaction. When nothing changed since the previous publish,
-// only the LSN stamp is refreshed.
+// publishLocked builds a frozen version of the current state stamped
+// with lsn and swaps it into published. Callers hold db.mu (write) with
+// no open transaction. A version with nothing new is not published.
 func (db *DB) publishLocked(lsn uint64) {
 	prev := db.published.Load()
-	if !db.verDirty && prev != nil {
-		if prev.versionLSN != lsn {
-			db.published.Store(restampFrozen(prev, lsn))
-		}
+	ddl := prev.catGen != db.catGen
+	if !ddl && len(db.dirty) == 0 && prev.versionLSN == lsn {
 		return
 	}
 	v := &DB{
@@ -201,43 +193,33 @@ func (db *DB) publishLocked(lsn uint64) {
 		stats:      db.stats,
 		nextOID:    db.nextOID,
 		versionLSN: lsn,
-		types:      maps.Clone(db.types),
-		views:      maps.Clone(db.views),
-		typeOrder:  append([]string(nil), db.typeOrder...),
-		tableOrder: append([]string(nil), db.tableOrder...),
-		viewOrder:  append([]string(nil), db.viewOrder...),
-		tables:     make(map[string]*Table, len(db.tables)),
-	}
-	for k, t := range db.tables {
-		if !t.verDirty && prev != nil {
-			if pt, ok := prev.tables[k]; ok && pt.live == t {
-				v.tables[k] = pt
-				continue
-			}
-		}
-		v.tables[k] = t.freezeLocked(v)
-	}
-	db.verDirty = false
-	db.published.Store(v)
-}
-
-// restampFrozen is a content-identical frozen copy with a new LSN.
-// Written out field by field (not a struct copy) so the embedded locks
-// are not copied.
-func restampFrozen(prev *DB, lsn uint64) *DB {
-	return &DB{
-		mode:       prev.mode,
-		frozen:     true,
-		stats:      prev.stats,
-		nextOID:    prev.nextOID,
-		versionLSN: lsn,
-		types:      prev.types,
-		views:      prev.views,
-		typeOrder:  prev.typeOrder,
-		tableOrder: prev.tableOrder,
-		viewOrder:  prev.viewOrder,
+		types:      db.types,
+		views:      db.views,
+		typeOrder:  db.typeOrder,
+		tableOrder: db.tableOrder,
+		viewOrder:  db.viewOrder,
+		catGen:     db.catGen,
 		tables:     prev.tables,
 	}
+	if ddl || len(db.dirty) > 0 {
+		v.tables = maps.Clone(prev.tables)
+		if ddl { // tables may have been dropped
+			for k := range v.tables {
+				if db.tables[k] == nil {
+					delete(v.tables, k)
+				}
+			}
+		}
+		for _, t := range db.dirty {
+			t.dirty = false
+			if k := key(t.Name); db.tables[k] == t {
+				v.tables[k] = t.freezeLocked(v)
+			}
+		}
+		clear(db.dirty) // a dropped table's rows are not kept alive
+		db.dirty = db.dirty[:0]
+	}
+	db.published.Store(v)
 }
 
 // freezeLocked captures an immutable copy of the table for version v and
@@ -261,6 +243,5 @@ func (t *Table) freezeLocked(v *DB) *Table {
 		ft.indexes[i] = &Index{Name: ix.Name, Col: ix.Col, colIdx: ix.colIdx, rows: ix.rows, built: ix.built}
 	}
 	t.edit.Store(t.db.edits.Add(1))
-	t.verDirty = false
 	return ft
 }

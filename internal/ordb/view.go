@@ -36,11 +36,11 @@ func (db *DB) CreateView(name, definition string, compiled any, orReplace bool) 
 		return nil, fmt.Errorf("ordb: view %q: %w", name, ErrExists)
 	}
 	v := &View{Name: name, Definition: definition, Compiled: compiled}
+	db.editCatalogLocked()
 	if _, ok := db.views[k]; !ok {
 		db.viewOrder = append(db.viewOrder, k)
 	}
 	db.views[k] = v
-	db.verDirty = true
 	db.maybePublishLocked()
 	return v, nil
 }
@@ -78,9 +78,9 @@ func (db *DB) DropView(name string) error {
 	if _, ok := db.views[k]; !ok {
 		return fmt.Errorf("ordb: view %q: %w", name, ErrNotFound)
 	}
+	db.editCatalogLocked()
 	delete(db.views, k)
 	db.viewOrder = removeString(db.viewOrder, k)
-	db.verDirty = true
 	db.maybePublishLocked()
 	return nil
 }

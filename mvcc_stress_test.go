@@ -199,3 +199,79 @@ func TestMVCCTransactionInvisibleUntilCommit(t *testing.T) {
 		t.Errorf("post-rollback view shows %d documents, want 2", len(rows.Data))
 	}
 }
+
+// TestCatalogReadersBesideDDL: readers on published versions list and
+// look up types and tables and run SQL while one writer creates and drops
+// types, tables and views and loads documents. Versions share the live
+// catalog, which DDL must therefore copy instead of changing, so under
+// -race this proves that no DDL writes what a version reads. Every
+// version must also be self-consistent: each listed type and table
+// resolves in the version that listed it.
+func TestCatalogReadersBesideDDL(t *testing.T) {
+	store, err := Open(workload.UniversityDTD, "University", Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	iters := 40
+	if testing.Short() {
+		iters = 10
+	}
+	var stop atomic.Bool
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		defer stop.Store(true)
+		for i := 0; i < iters; i++ {
+			for _, stmt := range []string{
+				fmt.Sprintf("CREATE TYPE Type_Extra%d AS OBJECT (Code NUMBER, Label VARCHAR(20))", i),
+				fmt.Sprintf("CREATE TABLE TabExtra%d OF Type_Extra%d", i, i),
+				fmt.Sprintf("CREATE TABLE TabPlain%d (ID NUMBER, Label VARCHAR(20))", i),
+				fmt.Sprintf("INSERT INTO TabPlain%d VALUES (%d, 'row')", i, i),
+				fmt.Sprintf("CREATE VIEW ViewExtra%d AS SELECT p.ID FROM TabPlain%d p", i, i),
+				fmt.Sprintf("DROP TABLE TabPlain%d", i),
+				fmt.Sprintf("DROP TYPE Type_Extra%d FORCE", i),
+			} {
+				if _, err := store.Exec(stmt); err != nil {
+					t.Errorf("%s: %v", stmt, err)
+					return
+				}
+			}
+			if _, err := store.LoadXML(uniDoc, fmt.Sprintf("u%d", i)); err != nil {
+				t.Errorf("load %d: %v", i, err)
+				return
+			}
+		}
+	}()
+	for r := 0; r < 3; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for reads := 0; !stop.Load() || reads == 0; reads++ {
+				rv := store.ReadView()
+				db := rv.DB()
+				for _, name := range db.TypeNames() {
+					if _, err := db.Type(name); err != nil {
+						t.Errorf("listed type %s: %v", name, err)
+						return
+					}
+				}
+				for _, name := range db.TableNames() {
+					if _, err := db.Table(name); err != nil {
+						t.Errorf("listed table %s: %v", name, err)
+						return
+					}
+				}
+				if _, err := db.Type("Type_University"); err != nil {
+					t.Errorf("schema type: %v", err)
+					return
+				}
+				if _, err := rv.Query("SELECT COUNT(*) FROM TabUniversity"); err != nil {
+					t.Errorf("query: %v", err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}

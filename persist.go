@@ -6,9 +6,7 @@ import (
 	"fmt"
 	"io"
 
-	"xmlordb/internal/loader"
-	"xmlordb/internal/meta"
-	"xmlordb/internal/retrieval"
+	"xmlordb/internal/dtd"
 	"xmlordb/internal/sql"
 )
 
@@ -51,8 +49,8 @@ func (s *Store) Save(w io.Writer) error {
 
 // LoadStore rebuilds a store from a Save snapshot: the mapping is
 // regenerated from the saved DTD (schema generation is deterministic),
-// and the engine state — including object identifiers, so REFs stay
-// valid — is restored verbatim.
+// and the engine state — catalog and data, including object identifiers,
+// so REFs stay valid — is restored verbatim.
 func LoadStore(r io.Reader) (*Store, error) {
 	var snap storeSnapshot
 	if err := gob.NewDecoder(r).Decode(&snap); err != nil {
@@ -61,33 +59,20 @@ func LoadStore(r io.Reader) (*Store, error) {
 	if snap.Version != 1 {
 		return nil, fmt.Errorf("xmlordb: unsupported snapshot version %d", snap.Version)
 	}
-	// Regenerate the mapping dictionary (without touching a database).
-	probe, err := Open(snap.DTDText, snap.Root, snap.Cfg)
+	d, err := dtd.Parse(snap.Root, snap.DTDText)
+	var s *Store
+	if err == nil {
+		s, err = schemaStore(d, snap.Root, snap.Cfg)
+	}
 	if err != nil {
 		return nil, fmt.Errorf("xmlordb: regenerating schema: %w", err)
 	}
-	// Restore the engine with the saved data and swap it in.
 	en, err := loadEngineSnapshot(snap.Engine)
 	if err != nil {
 		return nil, err
 	}
-	s := &Store{
-		cfg:       snap.Cfg,
-		DTD:       probe.DTD,
-		Tree:      probe.Tree,
-		Schema:    probe.Schema,
-		Engine:    en,
-		Loader:    loader.New(probe.Schema, en),
-		Retriever: retrieval.New(probe.Schema, en),
-	}
-	if !snap.Cfg.DisableMetadata {
-		store, err := meta.Install(en) // TabMetadata already exists: attach
-		if err != nil {
-			return nil, err
-		}
-		s.Meta = store
-		s.Loader.Meta = store
-		s.Retriever.Meta = store
+	if err := s.attach(en); err != nil {
+		return nil, err
 	}
 	return s, nil
 }

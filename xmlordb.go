@@ -247,7 +247,28 @@ func OpenShared(base *Store, dtdText, root string, cfg Config) (*Store, error) {
 	return openDTDOn(base.Engine, d, root, cfg)
 }
 
+// openDTDOn generates the schema of d for root and installs it in en, or
+// in a fresh engine when en is nil.
 func openDTDOn(en *sql.Engine, d *dtd.DTD, root string, cfg Config) (*Store, error) {
+	s, err := schemaStore(d, root, cfg)
+	if err != nil {
+		return nil, err
+	}
+	if en == nil {
+		en = sql.NewEngine(ordb.New(cfg.mode()))
+	}
+	if _, err := en.ExecScript(s.Schema.Script()); err != nil {
+		return nil, fmt.Errorf("xmlordb: executing generated schema: %w", err)
+	}
+	if err := s.attach(en); err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
+// schemaStore is the store of d's mapping for root, without an engine.
+// Generation is deterministic, so a schema regenerates from its DTD.
+func schemaStore(d *dtd.DTD, root string, cfg Config) (*Store, error) {
 	tree, err := dtd.BuildTree(d, root)
 	if err != nil {
 		return nil, err
@@ -256,31 +277,25 @@ func openDTDOn(en *sql.Engine, d *dtd.DTD, root string, cfg Config) (*Store, err
 	if err != nil {
 		return nil, err
 	}
-	if en == nil {
-		en = sql.NewEngine(ordb.New(cfg.mode()))
+	return &Store{cfg: cfg, DTD: d, Tree: tree, Schema: sch}, nil
+}
+
+// attach binds the store to en, whose catalog holds the store's schema:
+// the loader, the retriever and, unless disabled, the meta-database
+// (installed, or attached when TabMetadata exists).
+func (s *Store) attach(en *sql.Engine) error {
+	s.Engine = en
+	s.Loader = loader.New(s.Schema, en)
+	s.Retriever = retrieval.New(s.Schema, en)
+	if s.cfg.DisableMetadata {
+		return nil
 	}
-	if _, err := en.ExecScript(sch.Script()); err != nil {
-		return nil, fmt.Errorf("xmlordb: executing generated schema: %w", err)
+	store, err := meta.Install(en)
+	if err != nil {
+		return err
 	}
-	s := &Store{
-		cfg:       cfg,
-		DTD:       d,
-		Tree:      tree,
-		Schema:    sch,
-		Engine:    en,
-		Loader:    loader.New(sch, en),
-		Retriever: retrieval.New(sch, en),
-	}
-	if !cfg.DisableMetadata {
-		store, err := meta.Install(en)
-		if err != nil {
-			return nil, err
-		}
-		s.Meta = store
-		s.Loader.Meta = store
-		s.Retriever.Meta = store
-	}
-	return s, nil
+	s.Meta, s.Loader.Meta, s.Retriever.Meta = store, store, store
+	return nil
 }
 
 // Script returns the generated DDL script (Section 4: "This script can be
@@ -355,14 +370,23 @@ func (s *Store) XPath(path string) (*sql.Rows, string, error) {
 // Exec runs a non-query statement against the store. On a durable store
 // a successful DML statement is logged for redo (buffered until COMMIT
 // inside an explicit transaction); DDL, which auto-commits, is logged
-// immediately.
+// immediately. Publication is held across the statement and its append,
+// so readers see an autocommitted change only once its record is in the
+// log.
 func (s *Store) Exec(sqlText string) (*sql.Result, error) {
+	w := s.wal.Load()
+	if w == nil || !walWorthySQL(sqlText) {
+		return s.Engine.Exec(sqlText)
+	}
+	db := s.Engine.DB()
+	db.SuspendPublish()
+	defer db.ResumePublish()
 	res, err := s.Engine.Exec(sqlText)
 	if err != nil {
 		return res, err
 	}
-	if werr := s.walLogSQL(sqlText); werr != nil {
-		return res, werr
+	if err := w.record(RecSQL, walSQLPayload{SQL: sqlText}); err != nil {
+		return res, fmt.Errorf("xmlordb: statement executed but not logged: %w", err)
 	}
 	return res, nil
 }
